@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"scarecrow/internal/analysis"
 	"scarecrow/internal/campaign"
 	"scarecrow/internal/service"
 	"scarecrow/internal/store"
@@ -327,15 +328,18 @@ func corpusLoad(r *rig, gen *corpusGen, clients int, d time.Duration, from int, 
 		sp = tr.begin("service", "service.Job.Done", root.id(), id)
 		<-job.Done()
 		wait := sp.end()
-		lat := root.end()
-		v := job.Verdict()
+		lat := ms(root.end())
+		s := verdictServed(c, job.Verdict())
+		if s.failed {
+			lat = math.Inf(1)
+		}
 		if tr != nil {
 			timesMu.Lock()
 			ls.series["service.submit_us"] = append(ls.series["service.submit_us"], us(submit))
 			ls.series["service.wait_ms"] = append(ls.series["service.wait_ms"], ms(wait))
 			timesMu.Unlock()
 		}
-		return sample{i: i, lat: ms(lat), s: served{cell: c, hash: digest(v), size: len(v)}}
+		return sample{i: i, lat: lat, s: s}
 	})
 	p.finish(ls)
 	fromSamples(ls, samples)
@@ -396,23 +400,27 @@ func fleetLoad(r *rig, plan *fleetPlan, bodies map[string][]byte, clients int, d
 			root.end()
 			return sample{i: i, lat: math.Inf(1), s: served{cell: c, failed: true}}
 		}
-		v := verdictBody(raw)
+		s := verdictServed(c, verdictBody(raw))
 		if tr != nil {
 			if idx, ok := ownerIndex(hdr); ok && idx < len(r.backends) {
 				sp = tr.begin("service", "POST /v1/verdict direct", root.id(), id)
 				dStatus, dRaw, _, dErr := post(client, r.backends[idx].ts.URL+"/v1/verdict", body)
 				dLat := sp.end()
-				dv := verdictBody(dRaw)
+				ds := verdictServed(c, verdictBody(dRaw))
+				ds.failed = ds.failed || dErr != nil || dStatus != http.StatusOK
 				mu.Lock()
 				ls.series["front.rtt_ms"] = append(ls.series["front.rtt_ms"], ms(lat))
 				ls.series["front.direct_rtt_ms"] = append(ls.series["front.direct_rtt_ms"], ms(dLat))
 				ls.series["front.overhead_ms"] = append(ls.series["front.overhead_ms"], ms(lat)-ms(dLat))
-				extra = append(extra, served{cell: c, hash: digest(dv), size: len(dv), failed: dErr != nil || dStatus != http.StatusOK})
+				extra = append(extra, ds)
 				mu.Unlock()
 			}
 		}
 		root.end()
-		return sample{i: i, lat: ms(lat), s: served{cell: c, hash: digest(v), size: len(v)}}
+		if s.failed {
+			return sample{i: i, lat: math.Inf(1), s: s}
+		}
+		return sample{i: i, lat: ms(lat), s: s}
 	})
 	p.finish(ls)
 	fromSamples(ls, samples)
@@ -459,7 +467,7 @@ func fanoutLoad(r *rig, plan *fanoutPlan, d time.Duration, round int, tr *tracer
 				continue
 			}
 			delete(pending, c.key())
-			failed := ev.ev.Error != ""
+			failed := ev.ev.Error != "" || ev.ev.Category == analysis.VerdictError.String()
 			lat := ev.lat
 			if failed {
 				lat = math.Inf(1)

@@ -57,10 +57,8 @@ var endToEnd = []metricDef{
 	{"peak_rss_mb", "MB"},
 }
 
-// perLayer are the traced run's metrics that every workload measures.
-// Metrics of layers only some workloads reach (the front's round trips,
-// campaign makespans, in-process submit and wait times) go to the trace
-// report file alone.
+// perLayer are the traced run's metrics of the layers every workload
+// reaches. The rest go to the trace report alone (traceOnly).
 var perLayer = []metricDef{
 	{"malware.resolve_us_p50", "us"},
 	{"malware.resolve_allocs", "count"},
@@ -84,28 +82,27 @@ var perLayer = []metricDef{
 	{"store.bytes_per_verdict", "B"},
 	{"store.hit_frac", "frac"},
 	{"store.compactions_per_1k_puts", "count"},
-	{"front.health_transitions", "count"},
-	{"campaign.cache_hit_frac", "frac"},
-	{"campaign.snapshot_events", "count"},
-	{"campaign.checkpoint_errors", "count"},
 	{"runtime.gc_cycles_per_verdict", "count"},
 	{"runtime.gc_pause_ms_total", "ms"},
 	{"runtime.heap_peak_mb", "MB"},
 	{"trace.overhead_frac", "frac"},
-	{"malware.self_ms", "ms"},
-	{"winsim.self_ms", "ms"},
-	{"analysis.self_ms", "ms"},
-	{"store.self_ms", "ms"},
 }
 
-// traceOnly are the per-layer metrics written only to the trace report,
-// with the workloads that reach them.
+// traceOnly are the per-layer metrics of layers only some workloads
+// reach. They are written to the trace report alone, by the workloads
+// that reach them: service submit and wait times (corpus-cold), the
+// front's round trips (fleet-replay) and health flips (the front
+// workloads), and the campaign engine's timings and counters
+// (campaign-fanout).
 var traceOnly = []metricDef{
 	{"service.submit_us_p50", "us"}, {"service.submit_us_p99", "us"},
 	{"service.wait_ms_p50", "ms"}, {"service.wait_ms_p99", "ms"},
 	{"front.rtt_ms_p50", "ms"}, {"front.rtt_ms_p99", "ms"},
 	{"front.direct_rtt_ms_p50", "ms"}, {"front.overhead_ms_p50", "ms"},
+	{"front.health_transitions", "count"},
 	{"campaign.makespan_ms_p50", "ms"}, {"campaign.first_cell_ms_p50", "ms"},
+	{"campaign.cache_hit_frac", "frac"}, {"campaign.snapshot_events", "count"},
+	{"campaign.checkpoint_errors", "count"},
 }
 
 type metricValue struct {
@@ -337,11 +334,13 @@ func measureRun(cfg config, out io.Writer) (*measured, error) {
 // finish computes the metrics, prints them and writes the report.
 func (m *measured) finish(cfg config, out io.Writer) (*report, error) {
 	rep, u, t := m.rep, m.u, m.t
-	failed := rep.Measured.Failed + rep.Measured.ErrorCat
+	failed := rep.Measured.Failed
 	rep.RoundRates, rep.RoundP50, rep.RoundRSS = u.rates, u.p50s, u.rssMB
+	// Every workload is one on which no request fails, so a failure
+	// anywhere, measured or not, makes the run incorrect.
 	rep.Result = result{
-		Correct: rep.Measured.Mismatched == 0 && rep.Other.Mismatched == 0 && rep.Other.Failed == 0 &&
-			rep.Other.ErrorCat == 0 && len(rep.Problems) == 0,
+		Correct: rep.Measured.Mismatched == 0 && rep.Other.Mismatched == 0 && failed == 0 &&
+			rep.Other.Failed == 0 && len(rep.Problems) == 0,
 		Attempted: u.attempted,
 		Failed:    failed,
 		Metrics:   map[string]metricValue{},
@@ -355,13 +354,7 @@ func (m *measured) finish(cfg config, out io.Writer) (*report, error) {
 	if cfg.trace {
 		values, err = layerMetrics(u, t, m.dec, m.openMS)
 		defs = perLayer
-		rep.TraceOnly = map[string]metricValue{}
-		for _, d := range traceOnly {
-			series, q := traceOnlySource(d.name)
-			if v, ok := percentile(t.series[series], q); ok {
-				rep.TraceOnly[d.name] = metricValue{Value: v, Unit: d.unit}
-			}
-		}
+		rep.TraceOnly = traceOnlyMetrics(t)
 		rep.SelfTimes = perRequest(selfTimes(m.loadTr.all()), t.attempted)
 	} else {
 		values, err = endToEndMetrics(u, rep.SetupS, failed)
@@ -455,11 +448,6 @@ func layerMetrics(u, t *loadStats, d *decomposition, openMS []float64) (map[stri
 	m["analysis.self_spawns_per_run"] = mean(d.selfSpawns)
 	m["analysis.virtual_s_per_run"] = mean(d.virtualS)
 	m["store.bytes_per_verdict"] = mean(d.frameBytes)
-	n := float64(len(d.run))
-	m["malware.self_ms"] = sum(d.resolve) / 1e3 / n
-	m["winsim.self_ms"] = sum(d.clone) / 1e3 / n
-	m["analysis.self_ms"] = (sum(d.run) + sum(d.marshal)) / 1e3 / n
-	m["store.self_ms"] = (sum(d.put) + sum(d.get)) / 1e3 / n
 
 	sub := float64(t.svc.Submitted)
 	m["service.cache_hit_frac"] = ratio(float64(t.svc.CacheHits), sub)
@@ -474,12 +462,33 @@ func layerMetrics(u, t *loadStats, d *decomposition, openMS []float64) (map[stri
 	m["runtime.gc_pause_ms_total"] = ms(t.gcPause)
 	m["runtime.heap_peak_mb"] = float64(t.heapPeak) / (1 << 20)
 	m["trace.overhead_frac"] = 1 - ratio(median(t.rates), median(u.rates))
-	// Zero where the workload has no front or no campaigns.
-	m["front.health_transitions"] = t.counts["front.health_transitions"]
-	m["campaign.cache_hit_frac"] = ratio(t.counts["campaign.cache_hits"], t.counts["campaign.cells"])
-	m["campaign.snapshot_events"] = t.counts["campaign.snapshot_events"]
-	m["campaign.checkpoint_errors"] = t.counts["campaign.checkpoint_errors"]
 	return m, nil
+}
+
+// traceOnlyMetrics computes the trace-only metrics of the layers the
+// traced pass reached; a workload without a front or campaigns records
+// no such counters or samples, and the metric is left out.
+func traceOnlyMetrics(t *loadStats) map[string]metricValue {
+	out := map[string]metricValue{}
+	for _, d := range traceOnly {
+		var v float64
+		var ok bool
+		switch d.name {
+		case "campaign.cache_hit_frac":
+			var cells float64
+			cells, ok = t.counts["campaign.cells"]
+			v = ratio(t.counts["campaign.cache_hits"], cells)
+		case "front.health_transitions", "campaign.snapshot_events", "campaign.checkpoint_errors":
+			v, ok = t.counts[d.name]
+		default:
+			series, q := traceOnlySource(d.name)
+			v, ok = percentile(t.series[series], q)
+		}
+		if ok {
+			out[d.name] = metricValue{Value: v, Unit: d.unit}
+		}
+	}
+	return out
 }
 
 // traceOnlySource maps a trace-only metric to its sample series and

@@ -29,7 +29,6 @@ type rigKind struct {
 	backends  int
 	http      bool // listeners plus a front
 	campaigns bool // a checkpointing campaign engine per backend
-	cacheSize int  // 0 = the service default
 	profiles  []string
 }
 
@@ -73,7 +72,7 @@ func startRig(kind rigKind, dirs []string, warm bool) (*rig, error) {
 		}
 		r.openDur = append(r.openDur, time.Since(t))
 		b.st = st
-		b.srv = service.NewServer(service.Config{Store: st, CacheSize: kind.cacheSize})
+		b.srv = service.NewServer(service.Config{Store: st})
 		b.srv.Start()
 		r.backends = append(r.backends, b)
 		if kind.campaigns {
@@ -142,7 +141,7 @@ func (r *rig) warmUp(profiles []string) error {
 			for i, job := range jobs {
 				<-job.Done()
 				v := job.Verdict()
-				r.warm = append(r.warm, served{cell: cells[i], hash: digest(v), size: len(v)})
+				r.warm = append(r.warm, verdictServed(cells[i], v))
 			}
 		}
 	}

@@ -24,12 +24,6 @@ const (
 // so corpus keys stay distinct across rounds.
 const roundStride = 1 << 24
 
-// corpusCacheSize bounds corpus-cold's verdict cache. Nothing in that
-// workload can hit the cache, and Figure-4 verdicts run to ~120 KB, so
-// the service default of 4,096 entries would only make memory grow with
-// the number of verdicts served.
-const corpusCacheSize = 512
-
 // workload is one named traffic mix.
 type workload interface {
 	kind() rigKind
@@ -83,7 +77,7 @@ func newWorkload(name string, seed int64) (workload, error) {
 type corpusCold struct{ gen *corpusGen }
 
 func (w *corpusCold) kind() rigKind {
-	return rigKind{backends: 1, cacheSize: corpusCacheSize, profiles: []string{string(winsim.ProfileBareMetalSandbox)}}
+	return rigKind{backends: 1, profiles: []string{string(winsim.ProfileBareMetalSandbox)}}
 }
 
 func (w *corpusCold) prepare(env *env) ([]string, error) {
@@ -128,8 +122,9 @@ func (w *fleetReplay) prepare(env *env) ([]string, error) {
 	client := newClient()
 	for _, c := range w.plan.committed {
 		status, raw, _, err := post(client, r.fts.URL+"/v1/verdict", w.bodies[c.key()])
-		v := verdictBody(raw)
-		env.served = append(env.served, served{cell: c, hash: digest(v), size: len(v), failed: err != nil || status != http.StatusOK})
+		s := verdictServed(c, verdictBody(raw))
+		s.failed = s.failed || err != nil || status != http.StatusOK
+		env.served = append(env.served, s)
 	}
 	client.CloseIdleConnections()
 	if err := r.close(); err != nil {
