@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fix lint-sarif race cover fuzz-smoke service-smoke front-smoke monitor-smoke bench-hotpath bench-synth bench-monitor synth-smoke generate generate-check hooks ci
+.PHONY: build test perfbench-test vet lint lint-fix lint-sarif race cover fuzz-smoke service-smoke front-smoke monitor-smoke bench-hotpath bench-synth bench-monitor synth-smoke generate generate-check hooks ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# perfbench-test runs the benchmark module's own tests (its workloads'
+# smoke runs against the lab's byte-identical verdicts). perfbench is a
+# nested module, so the root `go test ./...` never reaches it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...
@@ -136,4 +142,4 @@ hooks:
 
 # ci mirrors .github/workflows/ci.yml: the tier-1 verify plus the static
 # checks. `make ci` green locally means CI is green.
-ci: build vet lint generate-check race cover fuzz-smoke synth-smoke bench-hotpath bench-synth bench-monitor service-smoke front-smoke monitor-smoke
+ci: build vet lint generate-check race perfbench-test cover fuzz-smoke synth-smoke bench-hotpath bench-synth bench-monitor service-smoke front-smoke monitor-smoke

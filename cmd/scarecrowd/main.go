@@ -115,6 +115,11 @@ func run(opts options, ready chan<- string) error {
 	if st != nil {
 		persisted = fmt.Sprintf("store %s: %d verdicts", st.Dir(), st.Len())
 	}
+	// Catch SIGINT/SIGTERM before announcing readiness: a signal sent
+	// as soon as the daemon is up must drain it, not kill it.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	fmt.Printf("scarecrowd: serving on %s (workers=%d, %s)\n", ln.Addr(), srv.Snapshot().Workers, persisted)
 	if ready != nil {
 		ready <- ln.Addr().String()
@@ -123,9 +128,6 @@ func run(opts options, ready chan<- string) error {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 	select {
 	case err := <-errc:
 		return fmt.Errorf("serving: %w", err)

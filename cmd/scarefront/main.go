@@ -90,6 +90,11 @@ func run(opts options, ready chan<- string) error {
 	}
 	httpSrv := &http.Server{Handler: f.Handler()}
 
+	// Catch SIGINT/SIGTERM before announcing readiness: a signal sent
+	// as soon as the front is up must drain it, not kill it.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	fmt.Printf("scarefront: serving on %s over %d backends\n", ln.Addr(), len(backends))
 	if ready != nil {
 		ready <- ln.Addr().String()
@@ -98,9 +103,6 @@ func run(opts options, ready chan<- string) error {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 	select {
 	case err := <-errc:
 		return fmt.Errorf("serving: %w", err)

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 	"testing"
@@ -362,6 +363,28 @@ func TestToolKillerStoppedByProtectedDecoys(t *testing.T) {
 	}
 	if res.Verdict.ProtectedMutations != 0 {
 		t.Error("tool killer acted despite unkillable decoys")
+	}
+}
+
+// TestToolKillerVerdictDeterministic: the Toolhelp snapshot hook plants
+// the decoy processes in one fixed order, so the tool killer — which
+// walks that process list — yields byte-identical verdicts run after run
+// at one seed, as the verdict cache's replay guarantee requires.
+func TestToolKillerVerdictDeterministic(t *testing.T) {
+	lab := NewLab(42)
+	var want []byte
+	for i := 0; i < 20; i++ {
+		got, err := lab.RunSampleSeeded(malware.ToolKiller(), 1).MarshalVerdict()
+		if err != nil {
+			t.Fatalf("run %d: MarshalVerdict: %v", i, err)
+		}
+		if i == 0 {
+			want = got
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("run %d verdict differs from run 0:\n got %s\nwant %s", i, got, want)
+		}
 	}
 }
 

@@ -20,8 +20,7 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
-	"time"
+	"sync/atomic"
 
 	"scarecrow/internal/service"
 	"scarecrow/internal/synth"
@@ -261,113 +260,30 @@ type Summary struct {
 	CheckpointErrors int `json:"checkpoint_errors,omitempty"`
 }
 
-// eventRing is the default bound on each campaign's event memory. Large
-// enough that any live SSE consumer (or a reconnect within the same
-// sweep) resumes losslessly; a consumer further behind than this gets a
-// snapshot event and continues from there.
-const eventRing = 4096
-
-// Campaign is one running or finished sweep. Everything above mu is
-// immutable after construction; everything below it is guarded.
+// Campaign is one running or finished sweep: its event Log plus the
+// manifest, the expanded jobs, and the checkpoint bookkeeping. Every
+// field is immutable after construction except lastCkpt, which is
+// atomic.
 type Campaign struct {
-	// ID addresses the campaign in /v1/campaign/{id}.
-	ID string
+	*Log
 
-	manifest    Manifest
-	jobs        []jobSpec
-	started     time.Time
-	done        chan struct{}
-	ring        int    // event ring capacity
-	ckptName    string // durable checkpoint identity (tag or manifest hash)
-	resumedFrom int    // checkpointed watermark at resume (0 = fresh)
-
-	mu         sync.Mutex
-	state      string
-	completed  int
-	errors     int
-	cacheHits  int
-	categories map[string]int
-	wall       time.Duration
-	events     []Event // ring: events[0].Seq is the oldest retained
-	nextSeq    uint64
-	subs       map[chan struct{}]bool
-	lastCkpt   int // completed watermark at the last periodic checkpoint
-	ckptErrors int
+	manifest Manifest
+	jobs     []jobSpec
+	ckptName string       // durable checkpoint identity (tag or manifest hash)
+	lastCkpt atomic.Int64 // completed watermark at the last periodic checkpoint
 }
 
 func newCampaign(id string, m Manifest, jobs []jobSpec, ring int) *Campaign {
-	if ring <= 0 {
-		ring = eventRing
-	}
 	return &Campaign{
-		ID:         id,
-		manifest:   m,
-		jobs:       jobs,
-		started:    time.Now(),
-		done:       make(chan struct{}),
-		ring:       ring,
-		state:      StateRunning,
-		categories: make(map[string]int),
-		subs:       make(map[chan struct{}]bool),
+		Log:      NewLog(id, m.Tag, len(jobs), ring),
+		manifest: m,
+		jobs:     jobs,
 	}
-}
-
-// Done returns a channel closed when the campaign reaches a terminal
-// state.
-func (c *Campaign) Done() <-chan struct{} { return c.done }
-
-// Total returns the expanded job count.
-func (c *Campaign) Total() int { return len(c.jobs) }
-
-// Snapshot aggregates the campaign's current state.
-func (c *Campaign) Snapshot() Summary {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.summaryLocked()
-}
-
-func (c *Campaign) summaryLocked() Summary {
-	wall := c.wall
-	if c.state == StateRunning {
-		wall = time.Since(c.started)
-	}
-	cats := make(map[string]int, len(c.categories))
-	for k, v := range c.categories {
-		cats[k] = v
-	}
-	s := Summary{
-		ID:               c.ID,
-		Tag:              c.manifest.Tag,
-		State:            c.state,
-		Total:            len(c.jobs),
-		Completed:        c.completed,
-		Errors:           c.errors,
-		CacheHits:        c.cacheHits,
-		Categories:       cats,
-		WallS:            wall.Seconds(),
-		ResumedFrom:      c.resumedFrom,
-		CheckpointErrors: c.ckptErrors,
-	}
-	if wall > 0 {
-		s.VerdictsPerS = float64(c.completed) / wall.Seconds()
-	}
-	return s
 }
 
 // recordVerdict tallies one completed job and appends its event.
 func (c *Campaign) recordVerdict(js jobSpec, category string, cacheHit bool, jobErr string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.completed++
-	c.categories[category]++
-	if cacheHit {
-		c.cacheHits++
-	}
-	if jobErr != "" {
-		c.errors++
-	}
-	c.appendLocked(Event{
-		Type:     "verdict",
+	c.Record(Event{
 		Specimen: js.Specimen,
 		Profile:  js.Profile,
 		Seed:     js.Seed,
@@ -375,67 +291,4 @@ func (c *Campaign) recordVerdict(js jobSpec, category string, cacheHit bool, job
 		CacheHit: cacheHit,
 		Error:    jobErr,
 	})
-}
-
-// finish moves the campaign to a terminal state and appends the summary
-// event — always the stream's last event.
-func (c *Campaign) finish(state string) {
-	c.mu.Lock()
-	c.state = state
-	c.wall = time.Since(c.started)
-	summary := c.summaryLocked()
-	c.appendLocked(Event{Type: "summary", Summary: &summary})
-	c.mu.Unlock()
-	close(c.done)
-}
-
-// appendLocked assigns the next sequence number, trims the ring, and
-// wakes subscribers. Caller holds c.mu.
-func (c *Campaign) appendLocked(ev Event) {
-	c.nextSeq++
-	ev.Seq = c.nextSeq
-	ev.Completed = c.completed
-	ev.Total = len(c.jobs)
-	c.events = append(c.events, ev)
-	if len(c.events) > c.ring {
-		c.events = c.events[len(c.events)-c.ring:]
-	}
-	for ch := range c.subs { //maporder:ok — wakeup poke, every subscriber gets one, order is moot
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// eventsSince returns retained events with Seq > after, plus the oldest
-// retained sequence number (0 when the ring is empty) so callers can
-// detect a resume gap.
-func (c *Campaign) eventsSince(after uint64) (evs []Event, oldest uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.events) > 0 {
-		oldest = c.events[0].Seq
-	}
-	for _, ev := range c.events {
-		if ev.Seq > after {
-			evs = append(evs, ev)
-		}
-	}
-	return evs, oldest
-}
-
-// subscribe registers a wake channel signalled on every append.
-func (c *Campaign) subscribe() chan struct{} {
-	ch := make(chan struct{}, 1)
-	c.mu.Lock()
-	c.subs[ch] = true
-	c.mu.Unlock()
-	return ch
-}
-
-func (c *Campaign) unsubscribe(ch chan struct{}) {
-	c.mu.Lock()
-	delete(c.subs, ch)
-	c.mu.Unlock()
 }

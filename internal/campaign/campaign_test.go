@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -478,6 +479,53 @@ func TestSSEResumeWithLastEventID(t *testing.T) {
 	}
 }
 
+// A client resuming a finished campaign at or past its summary has
+// nothing left to read. The stream answers 204 No Content at once —
+// the SSE signal that stops EventSource reconnecting — rather than
+// holding the connection open for events that will never come.
+func TestSSEResumeFinishedCampaignEnds(t *testing.T) {
+	ts, e := campaignTestServer(t)
+	c, err := e.Launch(Manifest{Specimens: []string{"kasidet", "locky"}})
+	if err != nil {
+		t.Fatalf("Launch: %v", err)
+	}
+	waitCampaign(t, c)
+	evs, _ := c.eventsSince(0)
+	summarySeq := evs[len(evs)-1].Seq
+	if evs[len(evs)-1].Type != "summary" {
+		t.Fatalf("last event is %q, want the summary", evs[len(evs)-1].Type)
+	}
+
+	client := &http.Client{Timeout: 2 * time.Second}
+	for _, tc := range []struct {
+		name, lastEventID, query string
+	}{
+		{"Last-Event-ID=summary", fmt.Sprint(summarySeq), ""},
+		{"after=summary", "", fmt.Sprintf("?after=%d", summarySeq)},
+		{"after>summary", "", fmt.Sprintf("?after=%d", summarySeq+10)},
+	} {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/campaign/"+c.ID+"/events"+tc.query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.lastEventID != "" {
+			req.Header.Set("Last-Event-ID", tc.lastEventID)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: reading body: %v", tc.name, err)
+		}
+		if resp.StatusCode != http.StatusNoContent || len(body) != 0 {
+			t.Fatalf("%s: status %d with %d body bytes, want an empty 204", tc.name, resp.StatusCode, len(body))
+		}
+	}
+}
+
 // A client resuming from before the ring's oldest retained event gets a
 // snapshot event carrying the aggregate, then the live tail — lossy in
 // events, lossless in tallies.
@@ -493,7 +541,7 @@ func TestSSEResumeBeyondRingGetsSnapshot(t *testing.T) {
 	for i := 0; i < eventRing+100; i++ {
 		c.recordVerdict(jobs[0], "deactivated", true, "")
 	}
-	c.finish(StateDone)
+	c.Finish(StateDone)
 
 	mux := http.NewServeMux()
 	e.Register(mux)

@@ -75,52 +75,44 @@ func (m Manifest) checkpointName() string {
 }
 
 // checkpoint writes the campaign's current progress under its durable
-// name. state is the state to record (the campaign's own state field
-// flips to terminal only in finish, which runs after the final
-// checkpoint so the record is durable before waiters wake). Write
-// failures are advisory — the WAL is an accelerator for restart, not a
-// dependency of the running sweep — but are counted on the campaign for
-// the /statusz surface.
+// name. state is the state to record (the campaign's own state flips to
+// terminal only in Finish, which runs after the final checkpoint so the
+// record is durable before waiters wake). Write failures are advisory —
+// the WAL is an accelerator for restart, not a dependency of the running
+// sweep — but are counted in the campaign's summary.
 func (e *Engine) checkpoint(c *Campaign, state string) {
 	if e.opts.Checkpoints == nil {
 		return
 	}
-	c.mu.Lock()
+	_, completed := c.progress()
 	rec := checkpointRecord{
 		V:         checkpointVersion,
 		State:     state,
-		Completed: c.completed,
-		Total:     len(c.jobs),
+		Completed: completed,
+		Total:     c.Total(),
 		Manifest:  c.manifest,
 	}
-	c.mu.Unlock()
 	buf, err := json.Marshal(rec)
 	if err == nil {
 		err = e.opts.Checkpoints.PutCheckpoint(c.ckptName, buf)
 	}
 	if err != nil {
-		c.mu.Lock()
-		c.ckptErrors++
-		c.mu.Unlock()
+		c.noteCheckpointError()
 	}
 }
 
 // maybeCheckpoint writes a periodic progress record when the campaign
 // has completed another CheckpointEvery cells since the last one. Runs
-// on job-completion goroutines; the write itself happens outside the
-// campaign lock.
+// on job-completion goroutines; the compare-and-swap on lastCkpt lets
+// exactly one of them claim each stride.
 func (e *Engine) maybeCheckpoint(c *Campaign) {
 	if e.opts.Checkpoints == nil {
 		return
 	}
-	c.mu.Lock()
-	due := c.state == StateRunning && c.completed > 0 &&
-		c.completed-c.lastCkpt >= e.opts.CheckpointEvery
-	if due {
-		c.lastCkpt = c.completed
-	}
-	c.mu.Unlock()
-	if due {
+	running, completed := c.progress()
+	last := c.lastCkpt.Load()
+	if running && completed > 0 && int64(completed)-last >= int64(e.opts.CheckpointEvery) &&
+		c.lastCkpt.CompareAndSwap(last, int64(completed)) {
 		e.checkpoint(c, StateRunning)
 	}
 }

@@ -64,9 +64,6 @@ func (o Options) withDefaults() Options {
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 8
 	}
-	if o.EventRing <= 0 {
-		o.EventRing = eventRing
-	}
 	return o
 }
 
@@ -210,12 +207,12 @@ func (e *Engine) run(c *Campaign) {
 	if aborted {
 		state = StateAborted
 	}
-	// The final checkpoint lands before finish closes done: by the time
+	// The final checkpoint lands before Finish closes done: by the time
 	// any waiter (the daemon's drain path included) observes the
 	// terminal state, the record a restart will read is already durable.
 	// An aborted record resumes; a done record is skipped.
 	e.checkpoint(c, state)
-	c.finish(state)
+	c.Finish(state)
 }
 
 // Drain blocks until every launched campaign reaches a terminal state —

@@ -3,9 +3,7 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 )
 
 // launchResponse is the body of POST /v1/campaign.
@@ -75,96 +73,12 @@ func (e *Engine) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, c.Snapshot())
 }
 
-// resumeSeq reads the client's resume position: the standard
-// Last-Event-ID header (set automatically by EventSource reconnects) or
-// an explicit ?after= for plain HTTP clients. Zero means "from the
-// start".
-func resumeSeq(r *http.Request) uint64 {
-	raw := r.Header.Get("Last-Event-ID")
-	if q := r.URL.Query().Get("after"); q != "" {
-		raw = q
-	}
-	if raw == "" {
-		return 0
-	}
-	n, err := strconv.ParseUint(raw, 10, 64)
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
-// handleEvents streams a campaign as Server-Sent Events: one verdict
-// event per completed job, a terminal summary event, then EOF. Resume
-// is lossless while the requested position is still in the event ring;
-// a client further behind gets a snapshot event carrying the current
-// aggregate and continues live from there.
+// handleEvents streams a campaign's event log (see Log.ServeEvents).
 func (e *Engine) handleEvents(w http.ResponseWriter, r *http.Request) {
 	c, ok := e.Lookup(r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown campaign %q", r.PathValue("id"))})
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "response writer cannot stream"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	last := resumeSeq(r)
-	sub := c.subscribe()
-	defer c.unsubscribe(sub)
-	for {
-		evs, oldest := c.eventsSince(last)
-		if oldest > 0 && last+1 < oldest {
-			// The ring dropped events between the resume position and the
-			// oldest retained one: re-sync with an aggregate snapshot so
-			// the client's tallies stay correct, then continue live.
-			snap := c.Snapshot()
-			gap := Event{
-				Seq:       oldest - 1,
-				Type:      "snapshot",
-				Completed: snap.Completed,
-				Total:     snap.Total,
-				Summary:   &snap,
-			}
-			if err := writeEvent(w, gap); err != nil {
-				return
-			}
-			last = gap.Seq
-		}
-		terminal := false
-		for _, ev := range evs {
-			if err := writeEvent(w, ev); err != nil {
-				return
-			}
-			last = ev.Seq
-			if ev.Type == "summary" {
-				terminal = true
-			}
-		}
-		fl.Flush()
-		if terminal {
-			return
-		}
-		select {
-		case <-sub:
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// writeEvent renders one SSE frame. The JSON payload is a single line,
-// so one data: field suffices.
-func writeEvent(w io.Writer, ev Event) error {
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
-	return err
+	c.ServeEvents(w, r)
 }

@@ -39,9 +39,11 @@ type Engine struct {
 	// Config.WearAndTear is enabled.
 	WearTear WearTearFakes
 
-	// decoyPIDByImage assigns stable fake PIDs to the deceptive processes
-	// the Toolhelp snapshot hook plants.
-	decoyPIDByImage map[string]int
+	// decoys are the deceptive process entries the Toolhelp snapshot
+	// hook plants, with stable fake PIDs, in DB.DeceptiveProcesses order
+	// so the planted list (and every verdict that reads it) is the same
+	// on every run. decoyImageByPID indexes them for PID lookups.
+	decoys          []winapi.ProcessEntry
 	decoyImageByPID map[int]string
 
 	// table is the deployment's shared hook table — scarecrow.dll's patch
@@ -62,13 +64,12 @@ func NewEngine(db *DB, cfg Config) *Engine {
 		DB:              db,
 		Config:          cfg,
 		WearTear:        DefaultWearTearFakes(),
-		decoyPIDByImage: make(map[string]int),
 		decoyImageByPID: make(map[int]string),
 		injectedAt:      make(map[int]time.Duration),
 	}
 	for i, img := range db.DeceptiveProcesses() {
 		pid := 90000 + 4*i
-		e.decoyPIDByImage[img] = pid
+		e.decoys = append(e.decoys, winapi.ProcessEntry{PID: pid, ParentPID: 4, Image: img})
 		e.decoyImageByPID[pid] = img
 	}
 	return e
@@ -244,11 +245,7 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 				return genuine
 			}
 			report(c, call.Name, CategoryProcess, VendorDebugger, "process-list")
-			for img, pid := range e.decoyPIDByImage {
-				genuine.Entries = append(genuine.Entries, winapi.ProcessEntry{
-					PID: pid, ParentPID: 4, Image: img,
-				})
-			}
+			genuine.Entries = append(genuine.Entries, e.decoys...)
 			return genuine
 		},
 		"CreateProcess": func(c *winapi.Context, call *winapi.Call) any {

@@ -8,9 +8,8 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"scarecrow/internal/campaign"
@@ -36,28 +35,15 @@ import (
 // still pending after a backend summary relaunch in a fresh round), so
 // the merged stream reports every cell exactly once even across kills.
 
-// frontCampaign is one merged sweep. Immutable above mu; guarded below.
+// frontCampaign is one merged sweep: the shared campaign event log,
+// which re-sequences backend verdicts under the front's own counter,
+// plus the shard bookkeeping that decides when an unfinished sweep
+// aborts.
 type frontCampaign struct {
-	id      string
-	tag     string // tag namespace for this campaign's sub-campaigns
-	total   int
-	started time.Time
-	done    chan struct{}
-	ring    int
-	shards  int // backends owning at least one cell
-
-	mu         sync.Mutex
-	state      string
-	completed  int
-	errors     int
-	cacheHits  int
-	categories map[string]int
-	wall       time.Duration
-	events     []campaign.Event // ring: events[0].Seq is the oldest retained
-	nextSeq    uint64
-	subs       map[chan struct{}]bool
-	shardsDone int
-	shardState []string // per-shard progress note for /statusz
+	*campaign.Log
+	tag        string       // tag namespace for this campaign's sub-campaigns
+	shards     int          // backends owning at least one cell
+	shardsDone atomic.Int32 // followers that have stopped
 }
 
 // cellKey canonicalizes one cell to the service's routing identity —
@@ -101,28 +87,19 @@ func (f *Front) launchCampaign(m campaign.Manifest) (*frontCampaign, error) {
 
 	f.mu.Lock()
 	f.nextID++
-	fc := &frontCampaign{
-		id:         fmt.Sprintf("f%08d", f.nextID),
-		total:      len(cells),
-		started:    time.Now(),
-		done:       make(chan struct{}),
-		ring:       f.opts.EventRing,
-		state:      campaign.StateRunning,
-		categories: make(map[string]int),
-		subs:       make(map[chan struct{}]bool),
-		shardState: make([]string, len(f.backends)),
+	id := fmt.Sprintf("f%08d", f.nextID)
+	tag := m.Tag
+	if tag == "" {
+		tag = f.opts.FrontID + "/" + id
 	}
-	fc.tag = m.Tag
-	if fc.tag == "" {
-		fc.tag = f.opts.FrontID + "/" + fc.id
-	}
+	fc := &frontCampaign{Log: campaign.NewLog(id, tag, len(cells), f.opts.EventRing), tag: tag}
 	for idx := range owned {
 		if len(owned[idx]) > 0 {
 			fc.shards++
 		}
 	}
-	f.campaigns[fc.id] = fc
-	f.order = append(f.order, fc.id)
+	f.campaigns[id] = fc
+	f.order = append(f.order, id)
 	f.mu.Unlock()
 
 	for idx := range owned {
@@ -133,13 +110,6 @@ func (f *Front) launchCampaign(m campaign.Manifest) (*frontCampaign, error) {
 		go f.followShard(fc, idx, owned[idx], keys[idx], m.Quota)
 	}
 	return fc, nil
-}
-
-func (f *Front) lookupCampaign(id string) (*frontCampaign, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	fc, ok := f.campaigns[id]
-	return fc, ok
 }
 
 // followShard drives one backend's share of a campaign to completion,
@@ -158,7 +128,7 @@ func (f *Front) followShard(fc *frontCampaign, idx int, cells []campaign.Cell, k
 	for len(pending) > 0 {
 		select {
 		case <-f.ctx.Done():
-			fc.shardFinished(idx, fmt.Sprintf("aborted with %d cells unreported", len(pending)))
+			fc.shardFinished()
 			return
 		default:
 		}
@@ -168,7 +138,6 @@ func (f *Front) followShard(fc *frontCampaign, idx int, cells []campaign.Cell, k
 			// ones replay from the backend's WAL as instant cache hits.
 			tag = fmt.Sprintf("%s/b%d/r%d", fc.tag, idx, round)
 		}
-		fc.noteShard(idx, fmt.Sprintf("round %d: %d cells pending", round, len(pending)))
 		// Adopt the backend's live campaign for this tag if one exists —
 		// after a crash, that is the checkpoint-resumed sub-campaign —
 		// otherwise launch one covering the pending cells.
@@ -178,7 +147,6 @@ func (f *Front) followShard(fc *frontCampaign, idx int, cells []campaign.Cell, k
 			var err error
 			campID, permanent, err = f.launchSub(b, campaign.Manifest{Cells: pendingCells(pending), Quota: quota, Tag: tag})
 			if err != nil {
-				fc.noteShard(idx, fmt.Sprintf("round %d: launch: %v", round, err))
 				if permanent {
 					// The backend rejected the manifest outright (4xx):
 					// retrying cannot help. Report every pending cell as
@@ -195,7 +163,6 @@ func (f *Front) followShard(fc *frontCampaign, idx int, cells []campaign.Cell, k
 			// Park until it answers /healthz again, then re-find its
 			// resumed campaign by tag and re-stream; the pending map
 			// swallows replayed events.
-			fc.noteShard(idx, fmt.Sprintf("round %d: stream: %v", round, err))
 			f.waitHealthy(b)
 			continue
 		}
@@ -206,7 +173,7 @@ func (f *Front) followShard(fc *frontCampaign, idx int, cells []campaign.Cell, k
 			round++
 		}
 	}
-	fc.shardFinished(idx, "done")
+	fc.shardFinished()
 }
 
 func sortedKeys(pending map[string]campaign.Cell) []string {
@@ -368,136 +335,19 @@ func (f *Front) streamSub(fc *frontCampaign, b *backend, campID string, pending 
 // the front's own sequence space, finishing the campaign when the last
 // cell lands.
 func (fc *frontCampaign) record(ev campaign.Event) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	fc.completed++
-	fc.categories[ev.Category]++
-	if ev.CacheHit {
-		fc.cacheHits++
-	}
-	if ev.Error != "" {
-		fc.errors++
-	}
-	fc.appendLocked(campaign.Event{
-		Type:     "verdict",
-		Specimen: ev.Specimen,
-		Profile:  ev.Profile,
-		Seed:     ev.Seed,
-		Category: ev.Category,
-		CacheHit: ev.CacheHit,
-		Error:    ev.Error,
-	})
-	if fc.completed == fc.total && fc.state == campaign.StateRunning {
-		fc.finishLocked(campaign.StateDone)
+	if fc.Record(ev) == fc.Total() {
+		fc.Finish(campaign.StateDone)
 	}
 }
 
-func (fc *frontCampaign) noteShard(idx int, note string) {
-	fc.mu.Lock()
-	fc.shardState[idx] = note
-	fc.mu.Unlock()
-}
-
-// shardFinished marks one follower done. If a follower aborts with
-// cells unreported (front shutdown), the campaign finishes aborted once
-// every follower has stopped.
-func (fc *frontCampaign) shardFinished(idx int, note string) {
-	fc.mu.Lock()
-	fc.shardState[idx] = note
-	fc.shardsDone++
-	if fc.shardsDone == fc.shards && fc.state == campaign.StateRunning && fc.completed < fc.total {
-		fc.finishLocked(campaign.StateAborted)
+// shardFinished marks one follower stopped. Once every follower has
+// stopped, a campaign with cells still unreported (front shutdown)
+// finishes aborted; a complete one has already finished done, and
+// Finish leaves it so.
+func (fc *frontCampaign) shardFinished() {
+	if int(fc.shardsDone.Add(1)) == fc.shards {
+		fc.Finish(campaign.StateAborted)
 	}
-	fc.mu.Unlock()
-}
-
-// finishLocked moves the campaign to a terminal state and appends the
-// summary event. Caller holds fc.mu.
-func (fc *frontCampaign) finishLocked(state string) {
-	fc.state = state
-	fc.wall = time.Since(fc.started)
-	summary := fc.summaryLocked()
-	fc.appendLocked(campaign.Event{Type: "summary", Summary: &summary})
-	close(fc.done)
-}
-
-func (fc *frontCampaign) snapshot() campaign.Summary {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return fc.summaryLocked()
-}
-
-func (fc *frontCampaign) summaryLocked() campaign.Summary {
-	wall := fc.wall
-	if fc.state == campaign.StateRunning {
-		wall = time.Since(fc.started)
-	}
-	cats := make(map[string]int, len(fc.categories))
-	for k, v := range fc.categories {
-		cats[k] = v
-	}
-	s := campaign.Summary{
-		ID:         fc.id,
-		Tag:        fc.tag,
-		State:      fc.state,
-		Total:      fc.total,
-		Completed:  fc.completed,
-		Errors:     fc.errors,
-		CacheHits:  fc.cacheHits,
-		Categories: cats,
-		WallS:      wall.Seconds(),
-	}
-	if wall > 0 {
-		s.VerdictsPerS = float64(fc.completed) / wall.Seconds()
-	}
-	return s
-}
-
-// appendLocked assigns the next front sequence number, trims the ring,
-// and wakes subscribers. Caller holds fc.mu.
-func (fc *frontCampaign) appendLocked(ev campaign.Event) {
-	fc.nextSeq++
-	ev.Seq = fc.nextSeq
-	ev.Completed = fc.completed
-	ev.Total = fc.total
-	fc.events = append(fc.events, ev)
-	if len(fc.events) > fc.ring {
-		fc.events = fc.events[len(fc.events)-fc.ring:]
-	}
-	for ch := range fc.subs { //maporder:ok — wakeup poke, every subscriber gets one, order is moot
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-}
-
-func (fc *frontCampaign) eventsSince(after uint64) (evs []campaign.Event, oldest uint64) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	if len(fc.events) > 0 {
-		oldest = fc.events[0].Seq
-	}
-	for _, ev := range fc.events {
-		if ev.Seq > after {
-			evs = append(evs, ev)
-		}
-	}
-	return evs, oldest
-}
-
-func (fc *frontCampaign) subscribe() chan struct{} {
-	ch := make(chan struct{}, 1)
-	fc.mu.Lock()
-	fc.subs[ch] = true
-	fc.mu.Unlock()
-	return ch
-}
-
-func (fc *frontCampaign) unsubscribe(ch chan struct{}) {
-	fc.mu.Lock()
-	delete(fc.subs, ch)
-	fc.mu.Unlock()
 }
 
 // HTTP surface — the same shapes the single-backend campaign API
@@ -518,10 +368,10 @@ func (f *Front) handleCampaignLaunch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]any{
-		"id":     fc.id,
-		"total":  fc.total,
-		"result": "/v1/campaign/" + fc.id,
-		"events": "/v1/campaign/" + fc.id + "/events",
+		"id":     fc.ID,
+		"total":  fc.Total(),
+		"result": "/v1/campaign/" + fc.ID,
+		"events": "/v1/campaign/" + fc.ID + "/events",
 	})
 }
 
@@ -534,101 +384,34 @@ func (f *Front) handleCampaignList(w http.ResponseWriter, r *http.Request) {
 	f.mu.Unlock()
 	out := make([]campaign.Summary, 0, len(fcs))
 	for _, fc := range fcs {
-		out = append(out, fc.snapshot())
+		out = append(out, fc.Snapshot())
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
+// campaignFor resolves the request's {id} to a front campaign,
+// answering 404 when there is none.
+func (f *Front) campaignFor(w http.ResponseWriter, r *http.Request) (*frontCampaign, bool) {
+	id := r.PathValue("id")
+	f.mu.Lock()
+	fc, ok := f.campaigns[id]
+	f.mu.Unlock()
+	if !ok {
+		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown campaign %q", id)})
+	}
+	return fc, ok
+}
+
 func (f *Front) handleCampaignSnapshot(w http.ResponseWriter, r *http.Request) {
-	fc, ok := f.lookupCampaign(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown campaign %q", r.PathValue("id"))})
-		return
+	if fc, ok := f.campaignFor(w, r); ok {
+		writeJSON(w, http.StatusOK, fc.Snapshot())
 	}
-	writeJSON(w, http.StatusOK, fc.snapshot())
 }
 
-// resumeSeq reads the client's resume position: Last-Event-ID or
-// ?after=, zero meaning "from the start" — identical to the backend's
-// contract, but over the front's merged sequence space.
-func resumeSeq(r *http.Request) uint64 {
-	raw := r.Header.Get("Last-Event-ID")
-	if q := r.URL.Query().Get("after"); q != "" {
-		raw = q
-	}
-	if raw == "" {
-		return 0
-	}
-	n, err := strconv.ParseUint(raw, 10, 64)
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
-// handleCampaignEvents streams the merged campaign as SSE with resume
-// and snapshot-on-gap, exactly like a single backend's stream.
+// handleCampaignEvents streams the merged campaign with the same
+// resume contract a single backend serves.
 func (f *Front) handleCampaignEvents(w http.ResponseWriter, r *http.Request) {
-	fc, ok := f.lookupCampaign(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown campaign %q", r.PathValue("id"))})
-		return
+	if fc, ok := f.campaignFor(w, r); ok {
+		fc.ServeEvents(w, r)
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "response writer cannot stream"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	last := resumeSeq(r)
-	sub := fc.subscribe()
-	defer fc.unsubscribe(sub)
-	for {
-		evs, oldest := fc.eventsSince(last)
-		if oldest > 0 && last+1 < oldest {
-			snap := fc.snapshot()
-			gap := campaign.Event{
-				Seq:       oldest - 1,
-				Type:      "snapshot",
-				Completed: snap.Completed,
-				Total:     snap.Total,
-				Summary:   &snap,
-			}
-			if err := writeEvent(w, gap); err != nil {
-				return
-			}
-			last = gap.Seq
-		}
-		terminal := false
-		for _, ev := range evs {
-			if err := writeEvent(w, ev); err != nil {
-				return
-			}
-			last = ev.Seq
-			if ev.Type == "summary" {
-				terminal = true
-			}
-		}
-		fl.Flush()
-		if terminal {
-			return
-		}
-		select {
-		case <-sub:
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-func writeEvent(w io.Writer, ev campaign.Event) error {
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
-	return err
 }

@@ -167,6 +167,48 @@ func TestMergedStreamResume(t *testing.T) {
 	}
 }
 
+// Resuming the finished merged stream at or past its summary answers an
+// immediate, empty 204 No Content — the same end-of-stream signal a
+// single backend gives — instead of hanging.
+func TestMergedStreamResumeFinishedEnds(t *testing.T) {
+	b0 := newTestBackend(t, false, campaign.Options{})
+	b1 := newTestBackend(t, false, campaign.Options{})
+	f := startFront(t, Options{}, b0, b1)
+	ts := httptest.NewServer(f.Handler())
+	defer ts.Close()
+
+	id, total := launchFront(t, ts, `{"specimens":["kasidet","wannacry"],"seeds":[1,2]}`)
+	waitFrontDone(t, ts, id)
+	full := readSSEFrom(t, ts, id, 0)
+	checkMergedStream(t, full, total)
+	summarySeq := full[len(full)-1].id
+
+	client := &http.Client{Timeout: 2 * time.Second}
+	for _, tc := range []struct {
+		name, lastEventID, query string
+	}{
+		{"Last-Event-ID=summary", fmt.Sprint(summarySeq), ""},
+		{"after=summary", "", fmt.Sprintf("?after=%d", summarySeq)},
+		{"after>summary", "", fmt.Sprintf("?after=%d", summarySeq+10)},
+	} {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/campaign/"+id+"/events"+tc.query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.lastEventID != "" {
+			req.Header.Set("Last-Event-ID", tc.lastEventID)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		body := readBody(t, resp)
+		if resp.StatusCode != http.StatusNoContent || len(body) != 0 {
+			t.Fatalf("%s: status %d with %d body bytes, want an empty 204", tc.name, resp.StatusCode, len(body))
+		}
+	}
+}
+
 // A client resuming from before the front ring's oldest retained event
 // gets a snapshot carrying the true aggregate, then the tail.
 func TestMergedStreamSnapshotOnGap(t *testing.T) {

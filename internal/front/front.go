@@ -44,8 +44,8 @@ type Options struct {
 	// MaxJobs caps one front campaign's expanded cell count (default
 	// 16384, matching the campaign engine).
 	MaxJobs int
-	// EventRing bounds the merged per-campaign event memory (default
-	// 4096).
+	// EventRing bounds the merged per-campaign event memory (default:
+	// the campaign package's ring size).
 	EventRing int
 	// Client issues all backend requests. Nil means a default client
 	// with no overall timeout (SSE streams are long-lived); individual
@@ -65,9 +65,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxJobs <= 0 {
 		o.MaxJobs = 16384
-	}
-	if o.EventRing <= 0 {
-		o.EventRing = 4096
 	}
 	return o
 }

@@ -190,9 +190,13 @@ func isBuiltinAppend(pass *Pass, call *ast.CallExpr) bool {
 
 // appendTargetOutsideLoop reports whether the append assignment grows a
 // variable declared outside the range statement — accumulation that
-// escapes the loop in iteration order.
+// escapes the loop in iteration order. A field target (x.f, x.f.g)
+// escapes when its root variable x does.
 func appendTargetOutsideLoop(pass *Pass, assign *ast.AssignStmt, rng *ast.RangeStmt) bool {
 	for _, lhs := range assign.Lhs {
+		for sel, ok := lhs.(*ast.SelectorExpr); ok; sel, ok = lhs.(*ast.SelectorExpr) {
+			lhs = sel.X
+		}
 		ident, ok := lhs.(*ast.Ident)
 		if !ok {
 			continue
