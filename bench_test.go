@@ -9,8 +9,6 @@
 package scarecrow
 
 import (
-	"encoding/json"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -99,8 +97,8 @@ func BenchmarkFigure4Sample100(b *testing.B) {
 // BenchmarkSweepReset measures the Deep Freeze reset itself: acquiring a
 // run-ready bare-metal machine by cloning the template snapshot (the lab's
 // default) versus building one from scratch. Alongside the standard ns/op
-// (the clone cost) it reports fresh_ns/op, reset_ns/op, and speedup_x, and
-// writes the comparison to BENCH_sweep.json.
+// (the clone cost) it reports fresh_ns/op, reset_ns/op, and speedup_x. It
+// writes no file: `go test` leaves no artifacts behind.
 func BenchmarkSweepReset(b *testing.B) {
 	template := winsim.NewBareMetalSandbox(0).Snapshot()
 	b.ResetTimer()
@@ -124,32 +122,6 @@ func BenchmarkSweepReset(b *testing.B) {
 	b.ReportMetric(resetNs, "reset_ns/op")
 	b.ReportMetric(freshNs, "fresh_ns/op")
 	b.ReportMetric(speedup, "speedup_x")
-	writeSweepBench(b, resetNs, freshNs, speedup)
-}
-
-// writeSweepBench persists the reset comparison so CI and ROADMAP readers
-// get the headline numbers without re-running the benchmark.
-func writeSweepBench(b *testing.B, resetNs, freshNs, speedup float64) {
-	doc := struct {
-		Benchmark string  `json:"benchmark"`
-		Profile   string  `json:"profile"`
-		ResetNs   float64 `json:"reset_ns_per_op"`
-		FreshNs   float64 `json:"fresh_ns_per_op"`
-		SpeedupX  float64 `json:"speedup_x"`
-	}{
-		Benchmark: "BenchmarkSweepReset",
-		Profile:   string(winsim.ProfileBareMetalSandbox),
-		ResetNs:   resetNs,
-		FreshNs:   freshNs,
-		SpeedupX:  speedup,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_sweep.json", append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
 }
 
 // BenchmarkSweepThroughput sweeps the stratified 100-sample corpus slice

@@ -84,8 +84,8 @@ func protectedMutations(s *malware.Specimen, db *core.DB) int {
 		panic(err)
 	}
 	sys.Run(time.Minute)
-	sum := trace.Summarize(m.Tracer.Filter(func(e trace.Event) bool {
+	sum := m.Tracer.Summarize(func(e trace.Event) bool {
 		return e.PID >= root.PID
-	}))
+	})
 	return sum.Mutations()
 }

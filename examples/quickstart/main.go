@@ -44,9 +44,9 @@ func main() {
 	system.Run(time.Minute)
 
 	// What happened?
-	summary := trace.Summarize(machine.Tracer.Filter(func(e trace.Event) bool {
+	summary := machine.Tracer.Summarize(func(e trace.Event) bool {
 		return e.PID >= target.PID
-	}))
+	})
 	fmt.Printf("durable changes by the sample: %d\n", summary.Mutations())
 	fmt.Printf("files encrypted: %d\n", len(summary.FilesDeleted))
 	if first, ok := controller.Session.FirstTrigger(); ok {

@@ -75,3 +75,35 @@ func TestAppendJSONMatchesMarshal(t *testing.T) {
 		t.Fatalf("AppendJSON clobbered its prefix: %s", withPrefix)
 	}
 }
+
+// A spawn-loop verdict is dominated by per-spawn work, so a per-spawn
+// regression shows up in the whole run's count. mg0000 self-spawns 544
+// times under Scarecrow and one pooled run costs 15,266 allocations; the
+// launch queue reallocating on every spawn again would add about 570 and
+// break the budget.
+func TestSelfSpawnRunAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector intentionally defeats sync.Pool reuse; the budget is unmeasurable")
+	}
+	const budget = 15500
+	s, err := malware.Resolve("mg:mg0000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab := NewLab(0)
+	lab.RunSampleSeeded(s, 1) // build the template and warm the pools
+	var res SampleResult
+	allocs := testing.AllocsPerRun(5, func() {
+		res = lab.RunSampleSeeded(s, 1)
+	})
+	if res.Err != nil {
+		t.Fatalf("lab run failed: %v", res.Err)
+	}
+	if res.Protected.Summary.SelfSpawns <= SpawnLoopThreshold {
+		t.Fatalf("mg0000 self-spawned %d times under Scarecrow; the budget assumes a spawn loop", res.Protected.Summary.SelfSpawns)
+	}
+	if allocs > budget {
+		t.Errorf("RunSampleSeeded(mg0000) allocates %.0f objects (%d self-spawns), budget is %d",
+			allocs, res.Protected.Summary.SelfSpawns, budget)
+	}
+}

@@ -216,9 +216,7 @@ func subtreeDescendants(m *winsim.Machine, rootPID int) map[int]bool {
 // file/registry diff the verdict rests on.
 func subtreeSummary(m *winsim.Machine, rootPID int) trace.Summary {
 	desc := subtreeDescendants(m, rootPID)
-	return trace.Summarize(m.Tracer.Filter(func(e trace.Event) bool {
-		return desc[e.PID]
-	}))
+	return m.Tracer.Summarize(func(e trace.Event) bool { return desc[e.PID] })
 }
 
 // SampleResult is the paired-execution outcome for one sample.

@@ -38,7 +38,16 @@ type Summary struct {
 
 // Summarize builds a Summary from a sequence of events.
 func Summarize(events []Event) Summary {
-	s := Summary{
+	s := newSummary()
+	for i := range events {
+		s.add(&events[i])
+	}
+	return s
+}
+
+// newSummary returns an empty Summary with every map allocated.
+func newSummary() Summary {
+	return Summary{
 		ProcessesCreated: make(map[string]int),
 		FilesWritten:     make(map[string]int),
 		FilesDeleted:     make(map[string]int),
@@ -46,34 +55,36 @@ func Summarize(events []Event) Summary {
 		APICalls:         make(map[string]int),
 		DNSQueries:       make(map[string]int),
 	}
-	for _, e := range events {
-		if !e.Success && e.Kind != KindAPICall && e.Kind != KindDNSQuery {
-			continue
-		}
-		switch e.Kind {
-		case KindProcessCreate:
-			child := strings.ToLower(baseName(e.Target))
-			parent := strings.ToLower(baseName(e.Image))
-			if child == parent {
-				s.SelfSpawns++
-			} else {
-				s.ProcessesCreated[child]++
-			}
-		case KindFileCreate, KindFileWrite:
-			s.FilesWritten[strings.ToLower(e.Target)]++
-		case KindFileDelete:
-			s.FilesDeleted[strings.ToLower(e.Target)]++
-		case KindRegCreateKey, KindRegSetValue, KindRegDeleteKey, KindRegDeleteValue:
-			s.RegistryModified[strings.ToLower(e.Target)]++
-		case KindProcessInject:
-			s.Injections++
-		case KindAPICall:
-			s.APICalls[e.Target]++
-		case KindDNSQuery:
-			s.DNSQueries[strings.ToLower(e.Target)]++
-		}
+}
+
+// add folds one event into the summary; Summarize and Recorder.Summarize
+// share it, so the two cannot count differently.
+func (s *Summary) add(e *Event) {
+	if !e.Success && e.Kind != KindAPICall && e.Kind != KindDNSQuery {
+		return
 	}
-	return s
+	switch e.Kind {
+	case KindProcessCreate:
+		child := strings.ToLower(baseName(e.Target))
+		parent := strings.ToLower(baseName(e.Image))
+		if child == parent {
+			s.SelfSpawns++
+		} else {
+			s.ProcessesCreated[child]++
+		}
+	case KindFileCreate, KindFileWrite:
+		s.FilesWritten[strings.ToLower(e.Target)]++
+	case KindFileDelete:
+		s.FilesDeleted[strings.ToLower(e.Target)]++
+	case KindRegCreateKey, KindRegSetValue, KindRegDeleteKey, KindRegDeleteValue:
+		s.RegistryModified[strings.ToLower(e.Target)]++
+	case KindProcessInject:
+		s.Injections++
+	case KindAPICall:
+		s.APICalls[e.Target]++
+	case KindDNSQuery:
+		s.DNSQueries[strings.ToLower(e.Target)]++
+	}
 }
 
 // Mutations returns the count of all durable state changes in the summary,

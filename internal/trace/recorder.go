@@ -105,17 +105,33 @@ func (r *Recorder) Reset() {
 	r.events = nil
 }
 
-// Filter returns the recorded events matching pred, in order.
-func (r *Recorder) Filter(pred func(Event) bool) []Event {
+// each calls fn, under the recorder's lock, on every recorded event
+// matching pred, in order. It is the one loop over the event log: Filter
+// copies through it and Summarize reads through it in place.
+func (r *Recorder) each(pred func(Event) bool, fn func(*Event)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []Event
-	for _, e := range r.events {
-		if pred(e) {
-			out = append(out, e)
+	for i := range r.events {
+		if pred(r.events[i]) {
+			fn(&r.events[i])
 		}
 	}
+}
+
+// Filter returns the recorded events matching pred, in order.
+func (r *Recorder) Filter(pred func(Event) bool) []Event {
+	var out []Event
+	r.each(pred, func(e *Event) { out = append(out, *e) })
 	return out
+}
+
+// Summarize condenses the recorded events matching pred, in order. It
+// equals Summarize(r.Filter(pred)) without copying the matching events out
+// of the log.
+func (r *Recorder) Summarize(pred func(Event) bool) Summary {
+	s := newSummary()
+	r.each(pred, s.add)
+	return s
 }
 
 // ByKind returns the recorded events of the given kind.

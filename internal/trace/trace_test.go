@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -221,5 +222,44 @@ func TestJSONLRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Recorder.Summarize reads the log in place and must count exactly what
+// Summarize counts over the filtered copy.
+func TestRecorderSummarizeMatchesFilter(t *testing.T) {
+	kinds := []Kind{KindProcessCreate, KindFileWrite, KindFileDelete, KindRegSetValue,
+		KindAPICall, KindDNSQuery, KindProcessInject, KindFileRead}
+	images := []string{`C:\mal.exe`, `C:\Windows\svchost.exe`}
+	f := func(picks []uint16) bool {
+		r := NewRecorder()
+		defer r.Release()
+		for i, p := range picks {
+			r.Record(Event{
+				Kind: kinds[int(p)%len(kinds)], PID: 100 + int(p)%3,
+				Image: images[int(p>>3)%2], Target: images[int(p>>4)%2],
+				Time: time.Duration(i), Success: p&0x100 == 0,
+			})
+		}
+		pred := func(e Event) bool { return e.PID != 101 }
+		return reflect.DeepEqual(r.Summarize(pred), Summarize(r.Filter(pred)))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// Summarizing a long log in place allocates only the summary's maps, not a
+// copy of the matching events.
+func TestRecorderSummarizeAllocBudget(t *testing.T) {
+	r := NewRecorder()
+	defer r.Release()
+	for i := 0; i < 8192; i++ {
+		r.Record(Event{Kind: KindAPICall, PID: 7, Target: "IsDebuggerPresent", Success: true})
+	}
+	all := func(Event) bool { return true }
+	allocs := testing.AllocsPerRun(20, func() { r.Summarize(all) })
+	if allocs > 10 {
+		t.Errorf("Recorder.Summarize over 8192 events allocates %.0f objects, budget is 10", allocs)
 	}
 }

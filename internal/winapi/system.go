@@ -56,7 +56,12 @@ type System struct {
 
 	programs map[string]Program // normalized image path -> body
 	states   map[int]*procState
-	queue    []queueEntry
+	// queue holds pending executions; queue[head:] are still to run.
+	// Run pops by advancing head and rewinds both to zero whenever the
+	// queue drains, so a self-spawn loop's one-at-a-time Launch appends
+	// reuse the same backing array instead of growing a fresh one.
+	queue []queueEntry
+	head  int
 	// kernelHooks is the machine-wide syscall-gate hook table (see
 	// kernelhooks.go); nil until the first InstallKernelHook.
 	kernelHooks map[string][]HookHandler
@@ -176,12 +181,16 @@ func (s *System) Run(budget time.Duration) int {
 	defer s.M.Clock.SetDeadline(0)
 
 	ran := 0
-	for len(s.queue) > 0 {
+	for s.head < len(s.queue) {
 		if s.executed >= s.MaxProcesses {
 			break
 		}
-		entry := s.queue[0]
-		s.queue = s.queue[1:]
+		entry := s.queue[s.head]
+		s.queue[s.head] = queueEntry{}
+		s.head++
+		if s.head == len(s.queue) {
+			s.queue, s.head = s.queue[:0], 0
+		}
 		if entry.proc.State == winsim.ProcessExited {
 			continue // killed (e.g. by a mitigation policy) before it ran
 		}
@@ -228,7 +237,7 @@ func (s *System) runOne(p *winsim.Process) (expired bool) {
 }
 
 // QueueLen returns the number of processes waiting to run.
-func (s *System) QueueLen() int { return len(s.queue) }
+func (s *System) QueueLen() int { return len(s.queue) - s.head }
 
 // ExecutedCount returns how many processes have been dispatched so far.
 func (s *System) ExecutedCount() int { return s.executed }
@@ -237,6 +246,6 @@ func (s *System) ExecutedCount() int { return s.executed }
 func (s *System) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "system profile=%s queued=%d executed=%d programs=%d",
-		s.M.Profile, len(s.queue), s.executed, len(s.programs))
+		s.M.Profile, s.QueueLen(), s.executed, len(s.programs))
 	return sb.String()
 }

@@ -1,6 +1,7 @@
 package winapi
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -194,5 +195,53 @@ func TestAPITraceEventsRecorded(t *testing.T) {
 	}
 	if s.APICalls["GetTickCount"] != 1 {
 		t.Errorf("GetTickCount calls = %d", s.APICalls["GetTickCount"])
+	}
+}
+
+// The run queue stays FIFO when it drains and refills, and a run cut off
+// by MaxProcesses leaves the unrun tail queued, in order, for the next Run.
+func TestRunQueueFIFOAcrossRefills(t *testing.T) {
+	m := winsim.NewBareMetalSandbox(1)
+	sys := NewSystem(m)
+	var order []string
+	children := map[string][]string{
+		"root": {"a", "b", "c"},
+		"a":    {"d"},
+		"c":    {"e"},
+		"d":    {"f"},
+	}
+	for name := range children {
+		name := name
+		sys.RegisterProgram(`C:\`+name+`.exe`, func(ctx *Context) int {
+			order = append(order, name)
+			for _, child := range children[name] {
+				_, _ = ctx.CreateProcess(`C:\`+child+`.exe`, "")
+			}
+			return ExitOK
+		})
+	}
+	for _, leaf := range []string{"b", "e", "f"} {
+		leaf := leaf
+		sys.RegisterProgram(`C:\`+leaf+`.exe`, func(ctx *Context) int {
+			order = append(order, leaf)
+			return ExitOK
+		})
+	}
+	sys.MaxProcesses = 2
+	sys.Launch(`C:\root.exe`, "", nil)
+	if ran := sys.Run(time.Minute); ran != 2 {
+		t.Fatalf("first run ran %d processes, want 2", ran)
+	}
+	if got := sys.QueueLen(); got != 3 { // b, c, d
+		t.Fatalf("QueueLen after a cut-off run = %d, want 3", got)
+	}
+	sys.MaxProcesses = 100
+	sys.Run(time.Minute)
+	if sys.QueueLen() != 0 {
+		t.Fatalf("QueueLen after draining = %d", sys.QueueLen())
+	}
+	want := "root a b c d e f"
+	if got := strings.Join(order, " "); got != want {
+		t.Errorf("run order = %q, want %q", got, want)
 	}
 }
