@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test perfbench-test vet lint lint-fix lint-sarif race cover fuzz-smoke service-smoke front-smoke monitor-smoke bench-hotpath bench-synth bench-monitor synth-smoke generate generate-check hooks ci
+.PHONY: build test perfbench-test vet lint lint-fix lint-sarif race store-race cover fuzz-smoke service-smoke front-smoke monitor-smoke bench-hotpath bench-synth bench-monitor synth-smoke generate generate-check hooks ci
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,12 @@ lint-sarif:
 
 race:
 	$(GO) test -race ./...
+
+# store-race repeats the store's compaction, concurrency and crash-point
+# tests under the race detector: compaction merges with the store lock
+# released, so an interleaving bug shows only in some schedules.
+store-race:
+	$(GO) test -race -count=10 -run 'Compact|Concurrent|Background|Crash' ./internal/store
 
 # cover enforces statement-coverage floors on the packages whose failure
 # modes are subtle: the snapshot pool (winsim, analysis) and the durable
@@ -142,4 +148,4 @@ hooks:
 
 # ci mirrors .github/workflows/ci.yml: the tier-1 verify plus the static
 # checks. `make ci` green locally means CI is green.
-ci: build vet lint generate-check race perfbench-test cover fuzz-smoke synth-smoke bench-hotpath bench-synth bench-monitor service-smoke front-smoke monitor-smoke
+ci: build vet lint generate-check race store-race perfbench-test cover fuzz-smoke synth-smoke bench-hotpath bench-synth bench-monitor service-smoke front-smoke monitor-smoke

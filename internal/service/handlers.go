@@ -217,6 +217,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	addInt("store_keys", int64(st.StoreKeys))
 	addInt("store_hits", int64(st.StoreHits))
 	addInt("store_errors", int64(st.StoreErrors))
+	addInt("store_compactions", int64(st.StoreCompactions))
+	addInt("store_compact_bytes_total", int64(st.StoreCompactBytes))
 	addInt("monitor_runs", int64(st.MonitorRuns))
 	addInt("monitor_deterred", int64(st.MonitorDeterred))
 	addInt("monitor_rejected", int64(st.MonitorRejected))
@@ -227,6 +229,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	f := new(expvar.Float)
 	f.Set(st.CacheHitRate)
 	m.Set("cache_hit_rate", f)
+	compactMs := new(expvar.Float)
+	compactMs.Set(float64(st.StoreCompactNanos) / 1e6)
+	m.Set("store_compact_ms_total", compactMs)
 	// Per-shard cache counters: a skewed key distribution shows up here
 	// as one shard soaking the traffic the sharding was meant to spread.
 	for i, sh := range s.cache.PerShard() {

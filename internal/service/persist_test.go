@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -130,6 +131,61 @@ func TestHandlerMarksStoreHitAfterRestart(t *testing.T) {
 	defer resp.Body.Close()
 	if got := resp.Header.Get("X-Scarecrow-Cache"); got != "hit" {
 		t.Fatalf("X-Scarecrow-Cache = %q after restart, want hit", got)
+	}
+}
+
+// Compaction cost reaches operators through /metrics: the count, the
+// summed merge time and the bytes rewritten, read from store.Stats.
+func TestMetricsExportCompactionCost(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{SegmentBytes: 1, NoBackground: true})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	t.Cleanup(func() { st.Close() })
+	s := NewServer(Config{Workers: 1, QueueDepth: 8, CacheSize: 16, Store: st})
+	s.Start()
+	defer shutdown(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	metrics := func() map[string]float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatalf("GET /metrics: %v", err)
+		}
+		defer resp.Body.Close()
+		var m map[string]float64
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatalf("decoding metrics: %v", err)
+		}
+		return m
+	}
+	before := metrics()
+	for _, key := range []string{"store_compactions", "store_compact_ms_total", "store_compact_bytes_total"} {
+		if v, ok := before[key]; !ok || v != 0 {
+			t.Fatalf("before any compaction %s = %v (present %v), want 0", key, v, ok)
+		}
+	}
+
+	// One-byte segments seal on every commit, so three verdicts leave
+	// enough sealed segments to compact.
+	for seed := int64(1); seed <= 3; seed++ {
+		waitDone(t, mustSubmit(t, s, catalogRequest(seed)))
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	want := st.Stats()
+	after := metrics()
+	if after["store_compactions"] != 1 {
+		t.Errorf("store_compactions = %v, want 1", after["store_compactions"])
+	}
+	if got := after["store_compact_bytes_total"]; got <= 0 || got != float64(want.CompactBytes) {
+		t.Errorf("store_compact_bytes_total = %v, want %d", got, want.CompactBytes)
+	}
+	if got := after["store_compact_ms_total"]; got <= 0 || got != float64(want.CompactNanos)/1e6 {
+		t.Errorf("store_compact_ms_total = %v, want %v", got, float64(want.CompactNanos)/1e6)
 	}
 }
 

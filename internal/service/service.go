@@ -598,6 +598,11 @@ type Stats struct {
 	StoreKeys   int    `json:"store_keys"`
 	StoreHits   uint64 `json:"store_hits"`
 	StoreErrors uint64 `json:"store_errors"`
+	// Compaction cost: how many merges ran, their summed wall time, and
+	// the live bytes they rewrote.
+	StoreCompactions  uint64 `json:"store_compactions"`
+	StoreCompactNanos uint64 `json:"store_compact_nanos"`
+	StoreCompactBytes uint64 `json:"store_compact_bytes"`
 
 	// Deterrence-tier counters for the streaming /v1/monitor endpoint.
 	MonitorRuns     uint64 `json:"monitor_runs"`
@@ -611,9 +616,9 @@ type Stats struct {
 // Snapshot collects the current serving statistics.
 func (s *Server) Snapshot() Stats {
 	report := s.Report()
-	var storeKeys int
+	var sto store.Stats
 	if s.cfg.Store != nil {
-		storeKeys = s.cfg.Store.Len()
+		sto = s.cfg.Store.Stats()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -623,27 +628,30 @@ func (s *Server) Snapshot() Stats {
 		rate = float64(hits) / float64(hits+misses)
 	}
 	return Stats{
-		Uptime:          time.Since(s.started),
-		Workers:         s.cfg.Workers,
-		QueueDepth:      len(s.queue),
-		QueueCap:        s.cfg.QueueDepth,
-		Submitted:       s.submitted,
-		Completed:       s.completed,
-		Coalesced:       s.coalesced,
-		Rejected:        s.rejected,
-		LabRuns:         s.labRuns,
-		CacheHits:       hits,
-		CacheMisses:     misses,
-		CacheEvictions:  evictions,
-		CacheSize:       size,
-		CacheHitRate:    rate,
-		StoreKeys:       storeKeys,
-		StoreHits:       s.storeHits,
-		StoreErrors:     s.storeErrors,
-		MonitorRuns:     s.monitorRuns,
-		MonitorDeterred: s.monitorDeterred,
-		MonitorRejected: s.monitorRejected,
-		Report:          report,
-		ThroughputS:     report.Throughput(),
+		Uptime:            time.Since(s.started),
+		Workers:           s.cfg.Workers,
+		QueueDepth:        len(s.queue),
+		QueueCap:          s.cfg.QueueDepth,
+		Submitted:         s.submitted,
+		Completed:         s.completed,
+		Coalesced:         s.coalesced,
+		Rejected:          s.rejected,
+		LabRuns:           s.labRuns,
+		CacheHits:         hits,
+		CacheMisses:       misses,
+		CacheEvictions:    evictions,
+		CacheSize:         size,
+		CacheHitRate:      rate,
+		StoreKeys:         sto.Keys,
+		StoreHits:         s.storeHits,
+		StoreErrors:       s.storeErrors,
+		StoreCompactions:  sto.Compactions,
+		StoreCompactNanos: sto.CompactNanos,
+		StoreCompactBytes: sto.CompactBytes,
+		MonitorRuns:       s.monitorRuns,
+		MonitorDeterred:   s.monitorDeterred,
+		MonitorRejected:   s.monitorRejected,
+		Report:            report,
+		ThroughputS:       report.Throughput(),
 	}
 }

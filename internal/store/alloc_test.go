@@ -58,3 +58,31 @@ func TestPutBatchAllocBudget(t *testing.T) {
 		t.Errorf("steady-state PutBatch allocates %.2f objects/record, budget is 2", perRecord)
 	}
 }
+
+// A store hit is one pread into one fresh buffer: the value handed back
+// is a subslice of the verified frame, and the key echo is compared
+// without a string copy. Submit-time lookups run this under the
+// service's lock, so it stays at one allocation.
+func TestGetAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not measurable under -race")
+	}
+	s, err := Open(t.TempDir(), Options{NoBackground: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	key := "cat:kasidet|baremetal-sandbox|1"
+	if err := s.Put(key, []byte(`{"category":"deactivated","confidence":0.97}`)); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, ok, err := s.Get(key); !ok || err != nil {
+			t.Fatalf("Get(%s) ok=%v err=%v", key, ok, err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("store hit allocates %.1f objects/op, budget is 1", allocs)
+	}
+}

@@ -76,24 +76,26 @@ func scanSegment(seg *segment) (entries []scanEntry, goodEnd int64, err error) {
 	return entries, off, nil
 }
 
-// readRecord preads and verifies one record, returning a copy of its
-// value. The key echo check catches a keydir entry gone stale (e.g. a
-// stale index surviving a crashed compaction).
-func readRecord(loc recLoc, key string) ([]byte, error) {
-	buf := make([]byte, loc.size)
-	if _, err := loc.seg.f.ReadAt(buf, loc.off); err != nil {
+// readRecord preads the record at loc into frame, which must be exactly
+// loc.size bytes, verifies its CRC and length, and checks that it echoes
+// key; the echo catches a keydir entry gone stale (e.g. a stale index
+// surviving a crashed compaction). It returns the value, aliasing frame;
+// a successful read allocates nothing.
+func readRecord(loc recLoc, key string, frame []byte) ([]byte, error) {
+	if _, err := loc.seg.f.ReadAt(frame, loc.off); err != nil {
 		return nil, fmt.Errorf("store: reading record at %s+%d: %w", filepath.Base(loc.seg.path), loc.off, err)
 	}
-	gotKey, val, _, err := decodeRecord(buf)
+	gotKey, val, n, err := decodeFrame(frame)
+	if err == nil && n != loc.size {
+		err = fmt.Errorf("store: frame is %d bytes, keydir says %d", n, loc.size)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("store: record at %s+%d: %w", filepath.Base(loc.seg.path), loc.off, err)
 	}
-	if gotKey != key {
+	if string(gotKey) != key {
 		return nil, fmt.Errorf("store: record at %s+%d holds key %q, want %q", filepath.Base(loc.seg.path), loc.off, gotKey, key)
 	}
-	out := make([]byte, len(val))
-	copy(out, val)
-	return out, nil
+	return val[:len(val):len(val)], nil
 }
 
 // indexPath is the sidecar index for a segment file.
@@ -173,24 +175,16 @@ func loadIndex(seg *segment) (entries []scanEntry, ok bool) {
 	return entries, true
 }
 
-// mergeSegments compacts the live records of the sealed segments into a
-// single new segment carrying the highest sealed sequence number. The
-// merged file is written aside, synced, and renamed into place before
-// its index is written; every crash point replays to the same keydir.
-func mergeSegments(dir string, sealed []*segment, keydir map[string]recLoc) (*segment, error) {
-	inSealed := make(map[*segment]bool, len(sealed))
-	for _, seg := range sealed {
-		inSealed[seg] = true
-	}
-	keys := make([]string, 0, len(keydir))
-	for k, loc := range keydir {
-		if inSealed[loc.seg] {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-
-	seq := sealed[len(sealed)-1].seq
+// mergeSegments is compaction's merge phase. It copies the plan's live
+// records, verified but otherwise verbatim, into a single new segment
+// carrying the highest sealed sequence number. It takes no store lock:
+// sealed segments are immutable, and concurrent Gets only pread them.
+// The merged file is written aside, synced, and renamed into place
+// before its index is written; every crash point replays to the same
+// keydir, because the merged file replays after the segments it folds
+// and before any segment that rotated in during the merge.
+func mergeSegments(dir string, p *compactPlan) (*segment, error) {
+	seq := p.sealed[len(p.sealed)-1].seq
 	final := filepath.Join(dir, segName(seq))
 	tmpPath := final + ".tmp"
 	f, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -205,21 +199,23 @@ func mergeSegments(dir string, sealed []*segment, keydir map[string]recLoc) (*se
 		cleanup()
 		return nil, fmt.Errorf("store: writing merge header: %w", err)
 	}
-	merged := &segment{seq: seq, path: final, f: f, size: int64(len(segmentMagic)), lastFor: make(map[string]recLoc, len(keys))}
+	merged := &segment{seq: seq, path: final, f: f, size: int64(len(segmentMagic)), lastFor: make(map[string]recLoc, len(p.live))}
 	var frame []byte
-	for _, k := range keys {
-		val, err := readRecord(keydir[k], k)
-		if err != nil {
+	for _, e := range p.live {
+		if int64(cap(frame)) < e.loc.size {
+			frame = make([]byte, e.loc.size)
+		}
+		frame = frame[:e.loc.size]
+		if _, err := readRecord(e.loc, e.key, frame); err != nil {
 			cleanup()
 			return nil, err
 		}
-		frame = appendRecord(frame, k, val)
 		if _, err := f.WriteAt(frame, merged.size); err != nil {
 			cleanup()
 			return nil, fmt.Errorf("store: appending merge record: %w", err)
 		}
-		merged.lastFor[k] = recLoc{seg: merged, off: merged.size, size: int64(len(frame))}
-		merged.size += int64(len(frame))
+		merged.lastFor[e.key] = recLoc{seg: merged, off: merged.size, size: e.loc.size}
+		merged.size += e.loc.size
 	}
 	if err := f.Sync(); err != nil {
 		cleanup()
@@ -233,6 +229,7 @@ func mergeSegments(dir string, sealed []*segment, keydir map[string]recLoc) (*se
 		return nil, fmt.Errorf("store: installing merged segment: %w", err)
 	}
 	if err := writeIndex(merged); err != nil {
+		f.Close()
 		return nil, err
 	}
 	return merged, nil

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Options tunes a Store. The zero value is ready for production use.
@@ -50,6 +51,11 @@ type Stats struct {
 	Gets        uint64 `json:"gets"`
 	Hits        uint64 `json:"hits"`
 	Compactions uint64 `json:"compactions"`
+	// CompactNanos is the wall time spent compacting, from plan to
+	// install, summed over compactions; CompactBytes is the live bytes
+	// they rewrote. Commits wait only for the plan and install steps.
+	CompactNanos uint64 `json:"compact_nanos"`
+	CompactBytes uint64 `json:"compact_bytes"`
 	// RecoveredKeys counts keys rebuilt from disk at Open — the warm
 	// inventory a restarted daemon starts with.
 	RecoveredKeys int `json:"recovered_keys"`
@@ -90,7 +96,14 @@ type Store struct {
 
 	// Advisory counters, atomic so Get can bump them under the read
 	// lock without a writer lock round-trip.
-	puts, gets, hits, compactions atomic.Uint64
+	puts, gets, hits atomic.Uint64
+	// Compaction counters, bumped once per compaction, never on the
+	// Put/Get path.
+	compactions, compactNanos, compactBytes atomic.Uint64
+
+	// compactMu serialises compactions, background and explicit: two
+	// merges of the same sealed set would race on one temp file.
+	compactMu sync.Mutex
 
 	mu     sync.RWMutex
 	segs   []*segment // ascending seq; last is active
@@ -142,6 +155,12 @@ func (s *Store) load() error {
 		return fmt.Errorf("store: listing segments: %w", err)
 	}
 	sort.Strings(names)
+	// A crash mid-compaction or mid-seal can leave a merge or index temp
+	// file behind; neither was ever part of the log.
+	tmps, _ := filepath.Glob(filepath.Join(s.dir, "seg-*.tmp"))
+	for _, tmp := range tmps {
+		_ = os.Remove(tmp)
+	}
 	for i, name := range names {
 		seq, err := segSeq(name)
 		if err != nil {
@@ -360,7 +379,9 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	val, err := readRecord(loc, key)
+	// A fresh frame per hit: the value handed back aliases it, so the
+	// caller owns it at the cost of one allocation.
+	val, err := readRecord(loc, key, make([]byte, loc.size))
 	if err != nil {
 		return nil, false, err
 	}
@@ -399,6 +420,8 @@ func (s *Store) Stats() Stats {
 		Gets:           s.gets.Load(),
 		Hits:           s.hits.Load(),
 		Compactions:    s.compactions.Load(),
+		CompactNanos:   s.compactNanos.Load(),
+		CompactBytes:   s.compactBytes.Load(),
 		RecoveredKeys:  s.recoveredKeys,
 		TruncatedBytes: s.truncatedBytes,
 	}
@@ -431,42 +454,115 @@ func (s *Store) compactLoop() {
 }
 
 // Compact folds every sealed segment into one deduplicated segment with
-// a sidecar index, then removes the originals. Replay equivalence holds
-// at every crash point: the merged segment takes the highest sealed
-// sequence number, so a crash between the rename and the removals
-// replays old-then-merged with last-write-wins yielding the same keydir.
+// a sidecar index, then removes the originals. It runs in three phases
+// so that commits and Gets wait only for the short first and last ones:
+//
+//   - plan, under the read lock: snapshot the sealed segments and the
+//     keydir entries that point into them;
+//   - merge, with no store lock: copy those records into the merged
+//     segment (mergeSegments);
+//   - install, under the write lock: swap the keydir entries that still
+//     point into the planned segments and replace those segments with
+//     the merged one, keeping any that rotated in during the merge.
+//
+// Replay equivalence holds at every crash point: the merged segment
+// takes the highest sealed sequence number, so a crash between the
+// rename and the removals replays old-then-merged-then-newer with
+// last-write-wins yielding the same keydir.
 func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	start := time.Now()
+	p, err := s.planCompaction()
+	if p == nil {
+		return err
 	}
-	if len(s.segs)-1 < s.opts.CompactMinSegments {
-		return nil
-	}
-	sealed := s.segs[:len(s.segs)-1]
-	merged, err := mergeSegments(s.dir, sealed, s.keydir)
+	merged, err := mergeSegments(s.dir, p)
 	if err != nil {
 		return err
 	}
+	if err := s.installCompaction(p, merged); err != nil {
+		return err
+	}
+	s.compactions.Add(1)
+	s.compactNanos.Add(uint64(time.Since(start)))
+	s.compactBytes.Add(uint64(merged.size - int64(len(segmentMagic))))
+	return nil
+}
 
-	// Swap the keydir entries that still point into the sealed set; keys
-	// overwritten in the active segment meanwhile keep their newer entry.
-	inSealed := make(map[*segment]bool, len(sealed))
-	for _, seg := range sealed {
-		inSealed[seg] = true
+// compactPlan is one compaction's snapshot of the store.
+type compactPlan struct {
+	// sealed is the prefix of s.segs being folded. Only compaction
+	// removes segments and compactMu serialises it, so the prefix is
+	// still in place at install.
+	sealed []*segment
+	// live is every keydir entry pointing into sealed, in key order.
+	live []liveRecord
+}
+
+type liveRecord struct {
+	key string
+	loc recLoc
+}
+
+// inSealed reports whether seg is one of the planned sealed segments.
+// Segments are contiguous in ascending sequence, and the merged segment
+// is not in the keydir before install, so a sequence bound suffices.
+func (p *compactPlan) inSealed(seg *segment) bool {
+	return seg.seq <= p.sealed[len(p.sealed)-1].seq
+}
+
+// planCompaction is the plan phase. It returns a nil plan when there
+// are too few sealed segments to be worth merging.
+func (s *Store) planCompaction() (*compactPlan, error) {
+	s.mu.RLock()
+	if s.closed {
+		s.mu.RUnlock()
+		return nil, fmt.Errorf("store: closed")
 	}
-	var reclaimed int64
-	for _, seg := range sealed {
-		reclaimed += seg.size - int64(len(segmentMagic))
+	if len(s.segs)-1 < s.opts.CompactMinSegments {
+		s.mu.RUnlock()
+		return nil, nil
 	}
+	p := &compactPlan{sealed: append([]*segment(nil), s.segs[:len(s.segs)-1]...)}
+	for key, loc := range s.keydir {
+		if p.inSealed(loc.seg) {
+			p.live = append(p.live, liveRecord{key: key, loc: loc})
+		}
+	}
+	s.mu.RUnlock()
+	sort.Slice(p.live, func(i, j int) bool { return p.live[i].key < p.live[j].key })
+	return p, nil
+}
+
+// installCompaction is the install phase. If the store closed during the
+// merge it only closes the merged file: on disk that is the crash point
+// between rename and removals, which reopens to the same keydir.
+func (s *Store) installCompaction(p *compactPlan, merged *segment) error {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		_ = merged.f.Close()
+		return fmt.Errorf("store: closed during compaction")
+	}
+	// Keys overwritten in a newer segment meanwhile keep their entry.
 	for key, loc := range merged.lastFor {
-		if cur, ok := s.keydir[key]; ok && inSealed[cur.seg] {
+		if cur, ok := s.keydir[key]; ok && p.inSealed(cur.seg) {
 			s.applyLocked(key, loc)
 		}
 	}
 	merged.lastFor = nil
-	for _, seg := range sealed {
+	var reclaimed int64
+	for _, seg := range p.sealed {
+		reclaimed += seg.size - int64(len(segmentMagic))
+	}
+	s.segs = append([]*segment{merged}, s.segs[len(p.sealed):]...)
+	s.totalBytes += merged.size - int64(len(segmentMagic)) - reclaimed
+	s.mu.Unlock()
+
+	// No reader can reach the old segments any more: Gets that started
+	// before the swap finished under the read lock the swap waited for.
+	for _, seg := range p.sealed {
 		_ = seg.f.Close()
 		if seg.path == merged.path {
 			// The merged file was renamed over this one; the old bytes
@@ -476,9 +572,6 @@ func (s *Store) Compact() error {
 		_ = os.Remove(seg.path)
 		_ = os.Remove(indexPath(seg.path))
 	}
-	s.segs = append([]*segment{merged}, s.segs[len(s.segs)-1:]...)
-	s.totalBytes += merged.size - int64(len(segmentMagic)) - reclaimed
-	s.compactions.Add(1)
 	return nil
 }
 

@@ -14,6 +14,17 @@
 // segments into one deduplicated segment plus a sidecar index, so reopen
 // cost and disk usage track the live key set, not append history.
 //
+// Compaction stays off the commit path. It plans under the read lock
+// (snapshot the sealed segments and the keydir entries into them),
+// merges with no store lock (sealed segments are immutable), and
+// installs under the write lock (swap the entries that still point into
+// the planned segments, keep segments that rotated in meanwhile). The
+// merged file is written to a temp path, synced, renamed over the
+// highest-seq sealed segment and then indexed, and the old segments are
+// removed last. A crash at any of those points leaves the merged file,
+// if present, between the segments it folds and the newer ones, so
+// replay reaches the same keydir; Open deletes leftover temp files.
+//
 // Determinism makes this store exact rather than approximate: a verdict's
 // bytes are a pure function of its key, so last-write-wins merging can
 // never replace a verdict with a different one.
@@ -84,27 +95,37 @@ func recordLen(keyLen, valLen int) int64 {
 // of the active segment treat any error as the torn-tail boundary.
 // The returned val aliases b.
 func decodeRecord(b []byte) (key string, val []byte, n int64, err error) {
+	k, val, n, err := decodeFrame(b)
+	if err != nil {
+		return "", nil, 0, err
+	}
+	return string(k), val, n, nil
+}
+
+// decodeFrame is decodeRecord without the key copy: key and val both
+// alias b, so verifying a frame allocates nothing.
+func decodeFrame(b []byte) (key, val []byte, n int64, err error) {
 	if len(b) < recordHeaderLen {
-		return "", nil, 0, fmt.Errorf("store: short record header: %d bytes", len(b))
+		return nil, nil, 0, fmt.Errorf("store: short record header: %d bytes", len(b))
 	}
 	keyLen := binary.LittleEndian.Uint32(b[0:4])
 	valLen := binary.LittleEndian.Uint32(b[4:8])
 	if keyLen == 0 || keyLen > maxKeyLen {
-		return "", nil, 0, fmt.Errorf("store: implausible key length %d", keyLen)
+		return nil, nil, 0, fmt.Errorf("store: implausible key length %d", keyLen)
 	}
 	if valLen > maxValLen {
-		return "", nil, 0, fmt.Errorf("store: implausible value length %d", valLen)
+		return nil, nil, 0, fmt.Errorf("store: implausible value length %d", valLen)
 	}
 	total := recordLen(int(keyLen), int(valLen))
 	if int64(len(b)) < total {
-		return "", nil, 0, fmt.Errorf("store: short record: have %d bytes, frame wants %d", len(b), total)
+		return nil, nil, 0, fmt.Errorf("store: short record: have %d bytes, frame wants %d", len(b), total)
 	}
 	body := b[:total-recordTrailerLen]
 	want := binary.LittleEndian.Uint32(b[total-recordTrailerLen : total])
 	if got := crc32.ChecksumIEEE(body); got != want {
-		return "", nil, 0, fmt.Errorf("store: record checksum mismatch: %08x != %08x", got, want)
+		return nil, nil, 0, fmt.Errorf("store: record checksum mismatch: %08x != %08x", got, want)
 	}
-	key = string(b[recordHeaderLen : recordHeaderLen+keyLen])
+	key = b[recordHeaderLen : recordHeaderLen+keyLen]
 	val = b[recordHeaderLen+keyLen : total-recordTrailerLen]
 	return key, val, total, nil
 }
