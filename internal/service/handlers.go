@@ -219,6 +219,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	addInt("store_errors", int64(st.StoreErrors))
 	addInt("store_compactions", int64(st.StoreCompactions))
 	addInt("store_compact_bytes_total", int64(st.StoreCompactBytes))
+	addInt("store_put_bytes_total", int64(st.StorePutBytes))
+	addInt("store_segments", int64(st.StoreSegments))
+	addInt("store_dead_bytes", st.StoreDeadBytes)
 	addInt("monitor_runs", int64(st.MonitorRuns))
 	addInt("monitor_deterred", int64(st.MonitorDeterred))
 	addInt("monitor_rejected", int64(st.MonitorRejected))

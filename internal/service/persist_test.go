@@ -135,7 +135,10 @@ func TestHandlerMarksStoreHitAfterRestart(t *testing.T) {
 }
 
 // Compaction cost reaches operators through /metrics: the count, the
-// summed merge time and the bytes rewritten, read from store.Stats.
+// summed merge time and the bytes rewritten, read from store.Stats, next
+// to the bytes commits appended (their ratio is the write
+// amplification), the segment count and the dead bytes awaiting
+// compaction.
 func TestMetricsExportCompactionCost(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{SegmentBytes: 1, NoBackground: true})
 	if err != nil {
@@ -167,11 +170,23 @@ func TestMetricsExportCompactionCost(t *testing.T) {
 			t.Fatalf("before any compaction %s = %v (present %v), want 0", key, v, ok)
 		}
 	}
+	for key, want := range map[string]float64{"store_put_bytes_total": 0, "store_segments": 1, "store_dead_bytes": 0} {
+		if v, ok := before[key]; !ok || v != want {
+			t.Fatalf("on an empty store %s = %v (present %v), want %v", key, v, ok, want)
+		}
+	}
 
 	// One-byte segments seal on every commit, so three verdicts leave
 	// enough sealed segments to compact.
 	for seed := int64(1); seed <= 3; seed++ {
 		waitDone(t, mustSubmit(t, s, catalogRequest(seed)))
+	}
+	committed := metrics()
+	if got, want := committed["store_put_bytes_total"], float64(st.Stats().PutBytes); got <= 0 || got != want {
+		t.Errorf("store_put_bytes_total = %v, want %v", got, want)
+	}
+	if got := committed["store_segments"]; got != 4 {
+		t.Errorf("store_segments = %v after three sealing commits, want 4", got)
 	}
 	if err := st.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
@@ -186,6 +201,27 @@ func TestMetricsExportCompactionCost(t *testing.T) {
 	}
 	if got := after["store_compact_ms_total"]; got <= 0 || got != float64(want.CompactNanos)/1e6 {
 		t.Errorf("store_compact_ms_total = %v, want %v", got, float64(want.CompactNanos)/1e6)
+	}
+	// The merge rewrote each distinct verdict once: amplification 1.
+	if after["store_put_bytes_total"] != committed["store_put_bytes_total"] ||
+		after["store_compact_bytes_total"] != after["store_put_bytes_total"] {
+		t.Errorf("compact bytes %v, put bytes %v (%v before the merge); want all equal",
+			after["store_compact_bytes_total"], after["store_put_bytes_total"], committed["store_put_bytes_total"])
+	}
+	if after["store_segments"] != float64(want.Segments) || after["store_dead_bytes"] != 0 {
+		t.Errorf("store_segments = %v, store_dead_bytes = %v after the merge; want %d, 0",
+			after["store_segments"], after["store_dead_bytes"], want.Segments)
+	}
+
+	// An overwrite leaves the first value's bytes dead until compaction.
+	for _, val := range []string{"first", "second"} {
+		if err := st.Put("overwritten", []byte(val)); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	want = st.Stats()
+	if got := metrics()["store_dead_bytes"]; got <= 0 || got != float64(want.TotalBytes-want.LiveBytes) {
+		t.Errorf("store_dead_bytes = %v after an overwrite, want %d", got, want.TotalBytes-want.LiveBytes)
 	}
 }
 

@@ -599,10 +599,16 @@ type Stats struct {
 	StoreHits   uint64 `json:"store_hits"`
 	StoreErrors uint64 `json:"store_errors"`
 	// Compaction cost: how many merges ran, their summed wall time, and
-	// the live bytes they rewrote.
+	// the live bytes they rewrote. StoreCompactBytes / StorePutBytes is
+	// the store's write amplification.
 	StoreCompactions  uint64 `json:"store_compactions"`
 	StoreCompactNanos uint64 `json:"store_compact_nanos"`
 	StoreCompactBytes uint64 `json:"store_compact_bytes"`
+	StorePutBytes     uint64 `json:"store_put_bytes"`
+	// Log shape: segment files on disk and the bytes in them no key
+	// points at any more, which compaction has yet to reclaim.
+	StoreSegments  int   `json:"store_segments"`
+	StoreDeadBytes int64 `json:"store_dead_bytes"`
 
 	// Deterrence-tier counters for the streaming /v1/monitor endpoint.
 	MonitorRuns     uint64 `json:"monitor_runs"`
@@ -648,6 +654,9 @@ func (s *Server) Snapshot() Stats {
 		StoreCompactions:  sto.Compactions,
 		StoreCompactNanos: sto.CompactNanos,
 		StoreCompactBytes: sto.CompactBytes,
+		StorePutBytes:     sto.PutBytes,
+		StoreSegments:     sto.Segments,
+		StoreDeadBytes:    sto.TotalBytes - sto.LiveBytes,
 		MonitorRuns:       s.monitorRuns,
 		MonitorDeterred:   s.monitorDeterred,
 		MonitorRejected:   s.monitorRejected,

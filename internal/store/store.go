@@ -22,20 +22,16 @@ type Options struct {
 	// which plain write(2) already gives; Fsync extends it to machine
 	// crashes at a large throughput cost.
 	Fsync bool
-	// CompactMinSegments is the number of sealed segments that triggers
-	// background compaction (default 2).
-	CompactMinSegments int
 	// NoBackground disables the compaction goroutine; Compact must then
-	// be called explicitly. Tests use this for determinism.
+	// be called explicitly. Tests use this for determinism. Which sealed
+	// segments a compaction merges is not tunable: the planner decides
+	// from their sizes and live bytes (see Compact).
 	NoBackground bool
 }
 
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.CompactMinSegments <= 0 {
-		o.CompactMinSegments = 2
 	}
 	return o
 }
@@ -47,7 +43,10 @@ type Stats struct {
 	TotalBytes int64 `json:"total_bytes"`
 	LiveBytes  int64 `json:"live_bytes"`
 
-	Puts        uint64 `json:"puts"`
+	Puts uint64 `json:"puts"`
+	// PutBytes is the framed bytes commits appended to the log.
+	// CompactBytes / PutBytes is the store's write amplification.
+	PutBytes    uint64 `json:"put_bytes"`
 	Gets        uint64 `json:"gets"`
 	Hits        uint64 `json:"hits"`
 	Compactions uint64 `json:"compactions"`
@@ -78,6 +77,11 @@ type segment struct {
 	path string
 	f    *os.File
 	size int64
+	// live is the framed bytes of this segment's records that the keydir
+	// still points at; the rest of the segment is dead. applyLocked
+	// maintains it under the store's write lock, so replay at Open
+	// rebuilds it too.
+	live int64
 	// lastFor maps each key to its newest record in this segment; it is
 	// what the sidecar index persists at seal time. Only maintained for
 	// the active segment and for freshly written compacted segments.
@@ -96,7 +100,7 @@ type Store struct {
 
 	// Advisory counters, atomic so Get can bump them under the read
 	// lock without a writer lock round-trip.
-	puts, gets, hits atomic.Uint64
+	puts, putBytes, gets, hits atomic.Uint64
 	// Compaction counters, bumped once per compaction, never on the
 	// Put/Get path.
 	compactions, compactNanos, compactBytes atomic.Uint64
@@ -217,7 +221,7 @@ func (s *Store) replaySegment(seg *segment, active bool) error {
 	for _, e := range entries {
 		s.applyLocked(e.key, recLoc{seg: seg, off: e.off, size: e.size})
 	}
-	s.totalBytes += seg.size - int64(len(segmentMagic))
+	s.totalBytes += seg.bytes()
 	if active {
 		seg.lastFor = make(map[string]recLoc, len(entries))
 		for _, e := range entries {
@@ -228,13 +232,15 @@ func (s *Store) replaySegment(seg *segment, active bool) error {
 }
 
 // applyLocked records key → loc in the keydir, maintaining the
-// live-bytes accounting for overwrites.
+// store's and each segment's live-bytes accounting for overwrites.
 func (s *Store) applyLocked(key string, loc recLoc) {
 	if old, ok := s.keydir[key]; ok {
 		s.liveBytes -= old.size
+		old.seg.live -= old.size
 	}
 	s.keydir[key] = loc
 	s.liveBytes += loc.size
+	loc.seg.live += loc.size
 }
 
 // Record is one key/value pair for PutBatch.
@@ -309,6 +315,7 @@ func (s *Store) putBatchLocked(recs []Record) error {
 		buf = appendRecordTo(buf, r.Key, r.Val)
 	}
 	s.buf = buf
+	s.putBytes.Add(uint64(len(buf)))
 	if _, err := seg.f.WriteAt(buf, seg.size); err != nil {
 		return fmt.Errorf("store: appending to %s: %w", filepath.Base(seg.path), err)
 	}
@@ -417,6 +424,7 @@ func (s *Store) Stats() Stats {
 		TotalBytes:     s.totalBytes,
 		LiveBytes:      s.liveBytes,
 		Puts:           s.puts.Load(),
+		PutBytes:       s.putBytes.Load(),
 		Gets:           s.gets.Load(),
 		Hits:           s.hits.Load(),
 		Compactions:    s.compactions.Load(),
@@ -437,8 +445,8 @@ func (s *Store) Sync() error {
 	return s.segs[len(s.segs)-1].f.Sync()
 }
 
-// compactLoop runs compaction whenever a rotation signals enough sealed
-// segments have piled up.
+// compactLoop runs one compaction per rotation signal; the planner
+// decides whether the newly sealed segment gives it anything to merge.
 func (s *Store) compactLoop() {
 	defer s.bg.Done()
 	for {
@@ -453,22 +461,30 @@ func (s *Store) compactLoop() {
 	}
 }
 
-// Compact folds every sealed segment into one deduplicated segment with
-// a sidecar index, then removes the originals. It runs in three phases
-// so that commits and Gets wait only for the short first and last ones:
+// Compact merges one run of sealed segments into a single deduplicated
+// segment with a sidecar index, then removes the originals. The run is
+// size-tiered (see planRun): a byte is rewritten at most about once per
+// doubling of the log, not once per seal, and a segment is rewritten
+// early once half of it is dead. Compact runs in three
+// phases so that commits and Gets wait only for the short first and
+// last ones:
 //
-//   - plan, under the read lock: snapshot the sealed segments and the
-//     keydir entries that point into them;
+//   - plan, under the read lock: pick the run and snapshot the keydir
+//     entries that point into it;
 //   - merge, with no store lock: copy those records into the merged
 //     segment (mergeSegments);
 //   - install, under the write lock: swap the keydir entries that still
-//     point into the planned segments and replace those segments with
-//     the merged one, keeping any that rotated in during the merge.
+//     point into the run and splice the merged segment in its place,
+//     keeping the older segments and any that rotated in during the
+//     merge.
 //
 // Replay equivalence holds at every crash point: the merged segment
-// takes the highest sealed sequence number, so a crash between the
-// rename and the removals replays old-then-merged-then-newer with
-// last-write-wins yielding the same keydir.
+// takes the run's highest sequence number, so a crash between the
+// rename and the removals replays older-then-run-then-merged-then-newer
+// with last-write-wins yielding the same keydir. A run in the middle of
+// the log replays correctly because the store has no tombstones: a key
+// the run does not hold keeps whatever older segments say until a newer
+// segment overrides it, exactly as before the merge.
 func (s *Store) Compact() error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -486,15 +502,16 @@ func (s *Store) Compact() error {
 	}
 	s.compactions.Add(1)
 	s.compactNanos.Add(uint64(time.Since(start)))
-	s.compactBytes.Add(uint64(merged.size - int64(len(segmentMagic))))
+	s.compactBytes.Add(uint64(merged.bytes()))
 	return nil
 }
 
 // compactPlan is one compaction's snapshot of the store.
 type compactPlan struct {
-	// sealed is the prefix of s.segs being folded. Only compaction
-	// removes segments and compactMu serialises it, so the prefix is
-	// still in place at install.
+	// sealed is the run being merged: contiguous sealed segments in
+	// ascending sequence. Only compaction removes segments and compactMu
+	// serialises it, so the run is still in place, and still contiguous,
+	// at install.
 	sealed []*segment
 	// live is every keydir entry pointing into sealed, in key order.
 	live []liveRecord
@@ -505,26 +522,63 @@ type liveRecord struct {
 	loc recLoc
 }
 
-// inSealed reports whether seg is one of the planned sealed segments.
-// Segments are contiguous in ascending sequence, and the merged segment
-// is not in the keydir before install, so a sequence bound suffices.
+// inSealed reports whether seg is in the planned run. The run is a
+// contiguous slice of segments in ascending sequence, and the merged
+// segment is not in the keydir before install, so a sequence range
+// suffices.
 func (p *compactPlan) inSealed(seg *segment) bool {
-	return seg.seq <= p.sealed[len(p.sealed)-1].seq
+	return seg.seq >= p.sealed[0].seq && seg.seq <= p.sealed[len(p.sealed)-1].seq
 }
 
-// planCompaction is the plan phase. It returns a nil plan when there
-// are too few sealed segments to be worth merging.
+// bytes is the segment's record bytes, header excluded.
+func (seg *segment) bytes() int64 { return seg.size - int64(len(segmentMagic)) }
+
+// halfDead reports whether at least half of seg's bytes are dead. An
+// empty segment is not: rewriting it reclaims nothing.
+func (seg *segment) halfDead() bool { return seg.bytes() > 0 && 2*seg.live <= seg.bytes() }
+
+// planRun picks the run to merge from the sealed segments (oldest
+// first) and returns the indexes of its oldest and newest segments, or
+// -1, -1 for none. Walking back from the newest sealed segment, a run
+// takes an older segment only if it is no larger than the run so far or
+// at least half dead. Equal tiers thus fold like a binary counter, so
+// on an append-only log each byte is rewritten at most about
+// log2(seals) times, and a large merged segment is rewritten only when
+// the run has grown to its size or it is half garbage. A lone segment
+// that is mostly live is not worth rewriting: the walk steps past it
+// and starts the next run behind it, so a half-dead segment is
+// reclaimed even when a large live one sits between it and the newest.
+func planRun(sealed []*segment) (first, last int) {
+	for last = len(sealed) - 1; last >= 0; last = first - 1 {
+		run := sealed[last].bytes()
+		for first = last; first > 0; first-- {
+			older := sealed[first-1]
+			if older.bytes() > run && !older.halfDead() {
+				break
+			}
+			run += older.bytes()
+		}
+		if first < last || sealed[last].halfDead() {
+			return first, last
+		}
+	}
+	return -1, -1
+}
+
+// planCompaction is the plan phase. It returns a nil plan when planRun
+// finds nothing worth merging.
 func (s *Store) planCompaction() (*compactPlan, error) {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return nil, fmt.Errorf("store: closed")
 	}
-	if len(s.segs)-1 < s.opts.CompactMinSegments {
+	first, last := planRun(s.segs[:len(s.segs)-1])
+	if first < 0 {
 		s.mu.RUnlock()
 		return nil, nil
 	}
-	p := &compactPlan{sealed: append([]*segment(nil), s.segs[:len(s.segs)-1]...)}
+	p := &compactPlan{sealed: append([]*segment(nil), s.segs[first:last+1]...)}
 	for key, loc := range s.keydir {
 		if p.inSealed(loc.seg) {
 			p.live = append(p.live, liveRecord{key: key, loc: loc})
@@ -554,10 +608,16 @@ func (s *Store) installCompaction(p *compactPlan, merged *segment) error {
 	merged.lastFor = nil
 	var reclaimed int64
 	for _, seg := range p.sealed {
-		reclaimed += seg.size - int64(len(segmentMagic))
+		reclaimed += seg.bytes()
 	}
-	s.segs = append([]*segment{merged}, s.segs[len(p.sealed):]...)
-	s.totalBytes += merged.size - int64(len(segmentMagic)) - reclaimed
+	i := 0
+	for s.segs[i] != p.sealed[0] {
+		i++
+	}
+	segs := make([]*segment, 0, len(s.segs)-len(p.sealed)+1)
+	segs = append(append(segs, s.segs[:i]...), merged)
+	s.segs = append(segs, s.segs[i+len(p.sealed):]...)
+	s.totalBytes += merged.bytes() - reclaimed
 	s.mu.Unlock()
 
 	// No reader can reach the old segments any more: Gets that started

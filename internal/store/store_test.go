@@ -240,19 +240,34 @@ func TestConcurrentPutGet(t *testing.T) {
 }
 
 // The background compactor is exercised separately from the deterministic
-// tests: rotations signal it, and the store stays readable throughout.
+// tests: rotations signal it, the store stays readable throughout, and
+// whatever it merged reopens to exactly the committed keys and bytes.
 func TestBackgroundCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{SegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	model := make(map[string][]byte)
 	for i := 0; i < 100; i++ {
-		mustPut(t, s, fmt.Sprintf("key-%d", i%7), []byte("a-verdict-sized-value-padding-padding"))
+		key, val := fmt.Sprintf("key-%d", i%7), []byte(fmt.Sprintf("a-verdict-sized-value-%03d-padding", i))
+		mustPut(t, s, key, val)
+		model[key] = val
 	}
-	for i := 0; i < 7; i++ {
-		mustGet(t, s, fmt.Sprintf("key-%d", i))
+	var live int64
+	for key, val := range model {
+		if got := mustGet(t, s, key); !bytes.Equal(got, val) {
+			t.Fatalf("Get(%s) = %q, want %q", key, got, val)
+		}
+		live += recordLen(len(key), len(val))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openTest(t, dir, Options{SegmentBytes: 128})
+	checkModel(t, "reopened", r, model)
+	if st := r.Stats(); st.Keys != len(model) || st.LiveBytes != live {
+		t.Fatalf("reopened with %d keys, %d live bytes; want %d, %d", st.Keys, st.LiveBytes, len(model), live)
 	}
 }
 

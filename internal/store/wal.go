@@ -10,20 +10,29 @@
 // directory replays every segment to rebuild the keydir; a torn tail in
 // the newest segment — the only segment a crash can tear — is truncated
 // back to the last fully-committed record, so recovery is exactly "the
-// prefix that was durably framed". Background compaction folds sealed
-// segments into one deduplicated segment plus a sidecar index, so reopen
-// cost and disk usage track the live key set, not append history.
+// prefix that was durably framed". Background compaction merges runs of
+// sealed segments into deduplicated segments with sidecar indexes, so
+// reopen cost and disk usage track the live key set, not append history.
+//
+// Compaction is size-tiered. Each segment tracks its live bytes; a run
+// starts at the newest sealed segment and grows backwards over older
+// segments no larger than the run so far or at least half dead. On an
+// append-only log that rewrites each byte at most about log2(seals)
+// times rather than once per seal, and dead bytes stay at about half
+// the log or less.
 //
 // Compaction stays off the commit path. It plans under the read lock
-// (snapshot the sealed segments and the keydir entries into them),
-// merges with no store lock (sealed segments are immutable), and
-// installs under the write lock (swap the entries that still point into
-// the planned segments, keep segments that rotated in meanwhile). The
-// merged file is written to a temp path, synced, renamed over the
-// highest-seq sealed segment and then indexed, and the old segments are
-// removed last. A crash at any of those points leaves the merged file,
-// if present, between the segments it folds and the newer ones, so
-// replay reaches the same keydir; Open deletes leftover temp files.
+// (pick the run, snapshot the keydir entries into it), merges with no
+// store lock (sealed segments are immutable), and installs under the
+// write lock (swap the entries that still point into the run, splice
+// the merged segment into the run's place between the older segments
+// and any that rotated in meanwhile). The merged file is written to a
+// temp path, synced, renamed over the run's highest-seq segment and then
+// indexed, and the run's other segments are removed last. A crash at any
+// of those points leaves the merged file, if present, between the
+// segments it folds and the newer ones, so replay reaches the same
+// keydir; with no tombstones, the segments older than the run replay
+// first exactly as before. Open deletes leftover temp files.
 //
 // Determinism makes this store exact rather than approximate: a verdict's
 // bytes are a pure function of its key, so last-write-wins merging can
