@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test perfbench-test vet lint lint-fix lint-sarif race store-race cover fuzz-smoke service-smoke front-smoke monitor-smoke bench-hotpath bench-synth bench-monitor synth-smoke generate generate-check hooks ci
+.PHONY: build test alloc-budgets perfbench-test vet lint lint-fix lint-sarif race store-race cover fuzz-smoke service-smoke front-smoke monitor-smoke bench-hotpath bench-synth bench-monitor synth-smoke generate generate-check hooks ci
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,12 @@ lint-sarif:
 
 race:
 	$(GO) test -race ./...
+
+# alloc-budgets runs the testing.AllocsPerRun budget tests without the race
+# detector. `race` cannot stand in for them: the race detector defeats
+# sync.Pool reuse, so the pooled-path budgets skip themselves under -race.
+alloc-budgets:
+	$(GO) test -count=1 -run AllocBudget ./...
 
 # store-race repeats the store's compaction, concurrency and crash-point
 # tests under the race detector: compaction merges with the store lock
@@ -148,4 +154,4 @@ hooks:
 
 # ci mirrors .github/workflows/ci.yml: the tier-1 verify plus the static
 # checks. `make ci` green locally means CI is green.
-ci: build vet lint generate-check race store-race perfbench-test cover fuzz-smoke synth-smoke bench-hotpath bench-synth bench-monitor service-smoke front-smoke monitor-smoke
+ci: build vet lint generate-check race alloc-budgets store-race perfbench-test cover fuzz-smoke synth-smoke bench-hotpath bench-synth bench-monitor service-smoke front-smoke monitor-smoke

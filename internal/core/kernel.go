@@ -28,7 +28,7 @@ func (e *Engine) InstallKernelHooks(sys *winapi.System, session *Session) error 
 	}
 
 	hooks := map[string]winapi.HookHandler{
-		"NtOpenKeyEx": func(c *winapi.Context, call *winapi.Call) any {
+		"NtOpenKeyEx": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			path := call.StrArg(0)
 			if vendor, ok := e.DB.MatchRegKey(path); ok && allowed(vendor) {
 				report(c, call.Name, CategoryRegistry, vendor, path)
@@ -36,7 +36,7 @@ func (e *Engine) InstallKernelHooks(sys *winapi.System, session *Session) error 
 			}
 			return call.Original()
 		},
-		"NtQueryAttributesFile": func(c *winapi.Context, call *winapi.Call) any {
+		"NtQueryAttributesFile": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			path := call.StrArg(0)
 			if vendor, ok := e.DB.MatchFile(path); ok && allowed(vendor) {
 				report(c, call.Name, CategoryFile, vendor, path)
@@ -44,7 +44,7 @@ func (e *Engine) InstallKernelHooks(sys *winapi.System, session *Session) error 
 			}
 			return call.Original()
 		},
-		"NtQuerySystemInformation": func(c *winapi.Context, call *winapi.Call) any {
+		"NtQuerySystemInformation": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			if call.StrArg(0) == winapi.SystemKernelDebuggerInformation {
 				report(c, call.Name, CategoryDebugger, VendorDebugger, "KernelDebugger")
 				return winapi.Result{Status: winapi.StatusSuccess, Num: 1}

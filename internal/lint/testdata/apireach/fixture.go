@@ -18,23 +18,29 @@ var apiCatalog = map[string]apiMeta{
 	"EvtGhostNext":      {hookable: true}, // want `apiCatalog entry "EvtGhostNext" is unreachable`
 }
 
-// HookHandler mirrors the real dispatch-table element type.
-type HookHandler func(c *Context, call *Call) any
+// Result mirrors the real result bundle hook chains pass by value.
+type Result struct{ Status int }
 
-// Call mirrors the real in-flight invocation record.
+// HookHandler mirrors the real dispatch-table element type.
+type HookHandler func(c *Context, call *Call) Result
+
+// Call mirrors the real in-flight invocation frame.
 type Call struct{ Name string }
+
+// arg mirrors the real typed argument slot.
+type arg struct{ s string }
 
 // Context mirrors the real per-process API surface.
 type Context struct{}
 
-func (c *Context) invoke(name string, args []any, genuine func() any) any {
+func (c *Context) invoke(name string, args []arg, genuine func(*Context, *Call) Result) Result {
 	_ = apiCatalog[name]
-	return genuine()
+	return genuine(c, &Call{Name: name})
 }
 
 // CreateFile reaches its catalog entry through invoke.
-func (c *Context) CreateFile(path string) any {
-	return c.invoke("CreateFile", []any{path}, func() any { return nil })
+func (c *Context) CreateFile(path string) Result {
+	return c.invoke("CreateFile", []arg{{s: path}}, func(*Context, *Call) Result { return Result{} })
 }
 
 // System mirrors the real hook installer.

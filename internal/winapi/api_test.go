@@ -181,7 +181,7 @@ func TestDebugAndTimingAPIs(t *testing.T) {
 func TestDirectSyscallBypassesHooks(t *testing.T) {
 	sys, ctx := newTestSystem(t)
 	const key = `HKLM\SOFTWARE\Oracle\VirtualBox Guest Additions`
-	err := sys.InstallHook(ctx.P.PID, "NtOpenKeyEx", func(c *Context, call *Call) any {
+	err := sys.InstallHook(ctx.P.PID, "NtOpenKeyEx", func(c *Context, call *Call) Result {
 		return Result{Status: StatusSuccess} // deceive: key "exists"
 	})
 	if err != nil {

@@ -146,7 +146,7 @@ func TestSystemIntrospection(t *testing.T) {
 	if ctx.System() != sys {
 		t.Error("Context.System mismatch")
 	}
-	if err := sys.InstallHook(p.PID, "GetTickCount", func(c *Context, call *Call) any {
+	if err := sys.InstallHook(p.PID, "GetTickCount", func(c *Context, call *Call) Result {
 		return call.Original()
 	}); err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestKernelHookDispatchPaths(t *testing.T) {
 	ctx := sys.Context(p)
 
 	calls := 0
-	err := sys.InstallKernelHook("NtQueryAttributesFile", func(c *Context, call *Call) any {
+	err := sys.InstallKernelHook("NtQueryAttributesFile", func(c *Context, call *Call) Result {
 		calls++
 		if call.StrArg(0) == `C:\fake.sys` {
 			return Result{Status: StatusSuccess}
@@ -212,7 +212,7 @@ func TestKernelHookDispatchPaths(t *testing.T) {
 }
 
 func TestCallArgAccessors(t *testing.T) {
-	call := &Call{Name: "X", Args: []any{"s", 7}}
+	call := &Call{Name: "X", args: [maxArgs]arg{strArg("s"), intArg(7)}, nargs: 2}
 	if call.Arg(0) != "s" || call.Arg(1) != 7 {
 		t.Error("Arg")
 	}

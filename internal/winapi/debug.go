@@ -10,60 +10,53 @@ import (
 // the single most common evasion probe in the paper's corpus (815 of the
 // 823 self-spawning MalGene samples call it).
 func (c *Context) IsDebuggerPresent() bool {
-	res := c.invoke("IsDebuggerPresent", nil, func() any {
+	return c.invoke("IsDebuggerPresent", nil, func(c *Context, call *Call) Result {
 		return Result{Status: StatusSuccess, Bool: c.P.PEB.BeingDebugged}
-	})
-	return res.(Result).Bool
+	}).Bool
 }
 
 // CheckRemoteDebuggerPresent asks the kernel whether a debugger is attached
 // to the process.
 func (c *Context) CheckRemoteDebuggerPresent() bool {
-	res := c.invoke("CheckRemoteDebuggerPresent", nil, func() any {
+	return c.invoke("CheckRemoteDebuggerPresent", nil, func(c *Context, call *Call) Result {
 		return Result{Status: StatusSuccess, Bool: c.M.DebuggerAttachedPIDs[c.P.PID]}
-	})
-	return res.(Result).Bool
+	}).Bool
 }
 
 // QueryDebugPort is NtQueryInformationProcess(ProcessDebugPort): non-zero
 // when a debugger is attached.
 func (c *Context) QueryDebugPort() (uint64, Status) {
-	res := c.invoke("NtQueryInformationProcess", []any{"ProcessDebugPort"}, func() any {
+	r := c.invoke("NtQueryInformationProcess", []arg{strArg("ProcessDebugPort")}, func(c *Context, call *Call) Result {
 		var port uint64
 		if c.M.DebuggerAttachedPIDs[c.P.PID] {
 			port = 0xdeb9
 		}
 		return Result{Status: StatusSuccess, Num: port}
 	})
-	r := res.(Result)
 	return r.Num, r.Status
 }
 
 // OutputDebugString emits a debug string; under a real debugger the call
 // behaves differently, but no evaluated profile attaches one.
 func (c *Context) OutputDebugString(s string) {
-	c.invoke("OutputDebugString", []any{s}, func() any {
-		return Result{Status: StatusSuccess}
-	})
+	c.invoke("OutputDebugString", []arg{strArg(s)}, genuineSuccess)
 }
 
 // GetTickCount returns the system uptime in milliseconds. Low uptime is a
 // sandbox tell (machines reset before every sample); Scarecrow's hook
 // returns deceptively small values (Table I: sample ad0d7d0's trigger).
 func (c *Context) GetTickCount() uint64 {
-	res := c.invoke("GetTickCount", nil, func() any {
+	return c.invoke("GetTickCount", nil, func(c *Context, call *Call) Result {
 		return Result{Status: StatusSuccess, Num: c.M.Clock.TickCount()}
-	})
-	return res.(Result).Num
+	}).Num
 }
 
 // QueryPerformanceCounter returns a high-resolution timestamp in virtual
 // nanoseconds.
 func (c *Context) QueryPerformanceCounter() uint64 {
-	res := c.invoke("QueryPerformanceCounter", nil, func() any {
+	return c.invoke("QueryPerformanceCounter", nil, func(c *Context, call *Call) Result {
 		return Result{Status: StatusSuccess, Num: uint64(c.M.Clock.Uptime())}
-	})
-	return res.(Result).Num
+	}).Num
 }
 
 // RDTSC executes the rdtsc instruction. It is not an API call: it cannot
@@ -81,9 +74,7 @@ func (c *Context) CPUID() winsim.CPUIDResult {
 // SetUnhandledExceptionFilter registers an exception filter; modeled as a
 // timing-relevant no-op.
 func (c *Context) SetUnhandledExceptionFilter() {
-	c.invoke("SetUnhandledExceptionFilter", nil, func() any {
-		return Result{Status: StatusSuccess}
-	})
+	c.invoke("SetUnhandledExceptionFilter", nil, genuineSuccess)
 }
 
 // RaiseException dispatches a software exception through the default
@@ -92,9 +83,7 @@ func (c *Context) SetUnhandledExceptionFilter() {
 // of the paper has Scarecrow inject a deceptive discrepancy here.
 func (c *Context) RaiseException() time.Duration {
 	start := c.M.Clock.Now()
-	c.invoke("RaiseException", nil, func() any {
-		return Result{Status: StatusSuccess}
-	})
+	c.invoke("RaiseException", nil, genuineSuccess)
 	return c.M.Clock.Now() - start
 }
 
@@ -111,31 +100,16 @@ func (c *Context) ReadPEB() winsim.PEB {
 // hook-bypass route §VI-A of the paper acknowledges. It still crosses the
 // kernel syscall gate, so kernel-level hooks (the paper's future-work
 // extension) do intercept it. Only native-layer calls can be issued this
-// way.
+// way; the modeled calls take at most three arguments, and any beyond
+// that are ignored.
 func (c *Context) DirectSyscall(name string, args ...any) any {
 	c.M.Clock.Advance(directSyscallCost)
-	genuine := func() any {
-		switch name {
-		case "NtOpenKeyEx":
-			if c.M.Registry.KeyExists(str(args, 0)) {
-				return Result{Status: StatusSuccess}
-			}
-			return Result{Status: StatusFileNotFound}
-		case "NtQueryAttributesFile":
-			if c.M.FS.Exists(str(args, 0)) {
-				return Result{Status: StatusSuccess}
-			}
-			return Result{Status: StatusFileNotFound}
-		case "NtQuerySystemInformation":
-			return c.genuineSystemInformation(str(args, 0))
-		default:
-			return Result{Status: StatusNotSupported}
-		}
+	var buf [maxArgs]arg
+	n := 0
+	for ; n < len(args) && n < maxArgs; n++ {
+		buf[n] = anyArg(args[n])
 	}
-	res, ok := c.dispatchSyscall(name, args, genuine).(Result)
-	if !ok {
-		return StatusInvalidParam
-	}
+	res := c.dispatchSyscall(name, buf[:n], genuineSyscall)
 	switch name {
 	case "NtQuerySystemInformation":
 		return res.Num
@@ -144,10 +118,21 @@ func (c *Context) DirectSyscall(name string, args ...any) any {
 	}
 }
 
-func str(args []any, i int) string {
-	if i >= len(args) {
-		return ""
+func genuineSyscall(c *Context, call *Call) Result {
+	switch call.Name {
+	case "NtOpenKeyEx":
+		if c.M.Registry.KeyExists(call.StrArg(0)) {
+			return Result{Status: StatusSuccess}
+		}
+		return Result{Status: StatusFileNotFound}
+	case "NtQueryAttributesFile":
+		if c.M.FS.Exists(call.StrArg(0)) {
+			return Result{Status: StatusSuccess}
+		}
+		return Result{Status: StatusFileNotFound}
+	case "NtQuerySystemInformation":
+		return c.genuineSystemInformation(call.StrArg(0))
+	default:
+		return Result{Status: StatusNotSupported}
 	}
-	s, _ := args[i].(string)
-	return s
 }

@@ -72,9 +72,9 @@ var networkAPIs = map[string]bool{
 // one ExitProcess uses). Throttles charge their delay and let the call
 // proceed; the charge may itself raise winsim.BudgetExceeded, which the
 // scheduler recovers as the window closing on the throttled payload.
-func (c *Context) applyEnforcement(name string) (any, bool) {
+func (c *Context) applyEnforcement(name string) (Result, bool) {
 	if c.sys.Enforcer == nil {
-		return nil, false
+		return Result{}, false
 	}
 	enf := c.sys.Enforcer(c.P.PID, name)
 	switch enf.Action {
@@ -93,5 +93,5 @@ func (c *Context) applyEnforcement(name string) (any, bool) {
 			return Result{Status: StatusAccessDenied}, true
 		}
 	}
-	return nil, false
+	return Result{}, false
 }

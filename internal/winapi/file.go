@@ -22,77 +22,54 @@ type VolumeInfo struct {
 // CreateFile opens an existing file or device. Opening device objects such
 // as \\.\VBoxGuest is a standard VM-guest probe.
 func (c *Context) CreateFile(path string) Status {
-	res := c.invoke("CreateFile", []any{path}, func() any {
-		_, ok := c.M.FS.Stat(path)
-		c.M.Record(trace.Event{
-			Kind: trace.KindFileQuery, PID: c.P.PID, Image: c.P.Image,
-			Target: path, Success: ok,
-		})
-		if !ok {
-			return Result{Status: StatusFileNotFound}
-		}
-		return Result{Status: StatusSuccess}
-	})
-	return res.(Result).Status
+	return c.invoke("CreateFile", []arg{strArg(path)}, genuineOpenFile).Status
 }
 
 // NtCreateFile is the native-layer open (Table III lists it for the
 // missing-DLL wear-and-tear artifact).
 func (c *Context) NtCreateFile(path string) Status {
-	res := c.invoke("NtCreateFile", []any{path}, func() any {
-		_, ok := c.M.FS.Stat(path)
-		c.M.Record(trace.Event{
-			Kind: trace.KindFileQuery, PID: c.P.PID, Image: c.P.Image,
-			Target: path, Success: ok,
-		})
-		if !ok {
-			return Result{Status: StatusFileNotFound}
-		}
-		return Result{Status: StatusSuccess}
-	})
-	return res.(Result).Status
+	return c.invoke("NtCreateFile", []arg{strArg(path)}, genuineOpenFile).Status
 }
 
 // NtQueryAttributesFile probes file existence without opening it — the
 // system call Table I's sample 9437eab uses against vmmouse.sys and
 // friends.
 func (c *Context) NtQueryAttributesFile(path string) (winsim.FileInfo, Status) {
-	res := c.invoke("NtQueryAttributesFile", []any{path}, func() any {
-		info, ok := c.M.FS.Stat(path)
-		c.M.Record(trace.Event{
-			Kind: trace.KindFileQuery, PID: c.P.PID, Image: c.P.Image,
-			Target: path, Success: ok,
-		})
-		if !ok {
-			return Result{Status: StatusFileNotFound}
-		}
-		return Result{Status: StatusSuccess, FileInfo: info}
-	})
-	r := res.(Result)
+	r := c.invoke("NtQueryAttributesFile", []arg{strArg(path)}, genuineStatFile)
 	return r.FileInfo, r.Status
 }
 
 // GetFileAttributes is the Win32-layer existence/metadata probe.
 func (c *Context) GetFileAttributes(path string) (winsim.FileInfo, Status) {
-	res := c.invoke("GetFileAttributes", []any{path}, func() any {
-		info, ok := c.M.FS.Stat(path)
-		c.M.Record(trace.Event{
-			Kind: trace.KindFileQuery, PID: c.P.PID, Image: c.P.Image,
-			Target: path, Success: ok,
-		})
-		if !ok {
-			return Result{Status: StatusFileNotFound}
-		}
-		return Result{Status: StatusSuccess, FileInfo: info}
-	})
-	r := res.(Result)
+	r := c.invoke("GetFileAttributes", []arg{strArg(path)}, genuineStatFile)
 	return r.FileInfo, r.Status
+}
+
+// genuineStatFile looks a path up and reports its metadata.
+func genuineStatFile(c *Context, call *Call) Result {
+	path := call.StrArg(0)
+	info, ok := c.M.FS.Stat(path)
+	c.M.Record(trace.Event{
+		Kind: trace.KindFileQuery, PID: c.P.PID, Image: c.P.Image,
+		Target: path, Success: ok,
+	})
+	if !ok {
+		return Result{Status: StatusFileNotFound}
+	}
+	return Result{Status: StatusSuccess, FileInfo: info}
+}
+
+// genuineOpenFile is genuineStatFile for the open calls, which report
+// only whether the path exists.
+func genuineOpenFile(c *Context, call *Call) Result {
+	return Result{Status: genuineStatFile(c, call).Status}
 }
 
 // WriteFile creates or replaces a file with data.
 func (c *Context) WriteFile(path string, data []byte) Status {
-	res := c.invoke("WriteFile", []any{path, data}, func() any {
-		err := c.M.FS.WriteFile(path, data)
+	return c.invoke("WriteFile", []arg{strArg(path), bytesArg(data)}, func(c *Context, call *Call) Result {
+		path := call.StrArg(0)
+		err := c.M.FS.WriteFile(path, call.args[1].b)
 		c.M.Record(trace.Event{
 			Kind: trace.KindFileWrite, PID: c.P.PID, Image: c.P.Image,
 			Target: path, Success: err == nil,
@@ -101,13 +78,13 @@ func (c *Context) WriteFile(path string, data []byte) Status {
 			return Result{Status: StatusAccessDenied}
 		}
 		return Result{Status: StatusSuccess}
-	})
-	return res.(Result).Status
+	}).Status
 }
 
 // ReadFile returns a file's contents.
 func (c *Context) ReadFile(path string) ([]byte, Status) {
-	res := c.invoke("ReadFile", []any{path}, func() any {
+	r := c.invoke("ReadFile", []arg{strArg(path)}, func(c *Context, call *Call) Result {
+		path := call.StrArg(0)
 		data, ok := c.M.FS.ReadFile(path)
 		c.M.Record(trace.Event{
 			Kind: trace.KindFileRead, PID: c.P.PID, Image: c.P.Image,
@@ -118,13 +95,13 @@ func (c *Context) ReadFile(path string) ([]byte, Status) {
 		}
 		return Result{Status: StatusSuccess, Data: data}
 	})
-	r := res.(Result)
 	return r.Data, r.Status
 }
 
 // DeleteFile removes a file.
 func (c *Context) DeleteFile(path string) Status {
-	res := c.invoke("DeleteFile", []any{path}, func() any {
+	return c.invoke("DeleteFile", []arg{strArg(path)}, func(c *Context, call *Call) Result {
+		path := call.StrArg(0)
 		ok := c.M.FS.Delete(path)
 		c.M.Record(trace.Event{
 			Kind: trace.KindFileDelete, PID: c.P.PID, Image: c.P.Image,
@@ -134,8 +111,7 @@ func (c *Context) DeleteFile(path string) Status {
 			return Result{Status: StatusFileNotFound}
 		}
 		return Result{Status: StatusSuccess}
-	})
-	return res.(Result).Status
+	}).Status
 }
 
 // FindFirstFile lists the entries of a directory matching a wildcard
@@ -143,8 +119,8 @@ func (c *Context) DeleteFile(path string) Status {
 // The final path component may use "*" and "?" wildcards, as on Windows:
 // "C:\dir\*", "C:\dir\*.docx", "C:\dir\report?.xls".
 func (c *Context) FindFirstFile(pattern string) ([]string, Status) {
-	res := c.invoke("FindFirstFile", []any{pattern}, func() any {
-		dir, leaf := splitPattern(pattern)
+	r := c.invoke("FindFirstFile", []arg{strArg(pattern)}, func(c *Context, call *Call) Result {
+		dir, leaf := splitPattern(call.StrArg(0))
 		var names []string
 		for _, name := range c.M.FS.List(dir) {
 			if matchLeaf(leaf, baseNameOf(name)) {
@@ -160,7 +136,6 @@ func (c *Context) FindFirstFile(pattern string) ([]string, Status) {
 		}
 		return Result{Status: StatusSuccess, Strs: names}
 	})
-	r := res.(Result)
 	return r.Strs, r.Status
 }
 
@@ -216,8 +191,8 @@ func matchFold(p, s string) bool {
 // GetDiskFreeSpaceEx reports the capacity of the volume owning path.
 // Implausibly small disks are a classic sandbox tell (Malwr's 5 GB C:).
 func (c *Context) GetDiskFreeSpaceEx(path string) (DiskSpace, Status) {
-	res := c.invoke("GetDiskFreeSpaceEx", []any{path}, func() any {
-		v := c.M.FS.VolumeFor(path)
+	r := c.invoke("GetDiskFreeSpaceEx", []arg{strArg(path)}, func(c *Context, call *Call) Result {
+		v := c.M.FS.VolumeFor(call.StrArg(0))
 		if v == nil {
 			return Result{Status: StatusInvalidParam}
 		}
@@ -225,14 +200,13 @@ func (c *Context) GetDiskFreeSpaceEx(path string) (DiskSpace, Status) {
 			TotalBytes: v.TotalBytes, FreeBytes: v.FreeBytes,
 		}}
 	})
-	r := res.(Result)
 	return r.Disk, r.Status
 }
 
 // GetVolumeInformation returns the volume serial and filesystem name.
 func (c *Context) GetVolumeInformation(path string) (VolumeInfo, Status) {
-	res := c.invoke("GetVolumeInformation", []any{path}, func() any {
-		v := c.M.FS.VolumeFor(path)
+	r := c.invoke("GetVolumeInformation", []arg{strArg(path)}, func(c *Context, call *Call) Result {
+		v := c.M.FS.VolumeFor(call.StrArg(0))
 		if v == nil {
 			return Result{Status: StatusInvalidParam}
 		}
@@ -240,7 +214,6 @@ func (c *Context) GetVolumeInformation(path string) (VolumeInfo, Status) {
 			SerialNumber: v.SerialNumber, FileSystem: "NTFS",
 		}}
 	})
-	r := res.(Result)
 	return r.Vol, r.Status
 }
 
@@ -248,12 +221,11 @@ func (c *Context) GetVolumeInformation(path string) (VolumeInfo, Status) {
 // disks.
 func (c *Context) GetDriveType(path string) (uint64, Status) {
 	const driveFixed = 3
-	res := c.invoke("GetDriveType", []any{path}, func() any {
-		if c.M.FS.VolumeFor(path) == nil {
+	r := c.invoke("GetDriveType", []arg{strArg(path)}, func(c *Context, call *Call) Result {
+		if c.M.FS.VolumeFor(call.StrArg(0)) == nil {
 			return Result{Status: StatusInvalidParam}
 		}
 		return Result{Status: StatusSuccess, Num: driveFixed}
 	})
-	r := res.(Result)
 	return r.Num, r.Status
 }

@@ -3,14 +3,24 @@ package winapi
 import (
 	"fmt"
 	"sort"
+	"time"
 )
 
 // HookHandler is customized code interposed on an API function. It receives
-// the call description and must return the API's result bundle. Handlers
-// may inspect and rewrite arguments, fabricate results, or call
-// call.Original() to invoke the next handler in the chain (ultimately the
-// real function) — the trampoline of classic inline hooking.
-type HookHandler func(c *Context, call *Call) any
+// the call frame and must return the API's result bundle. Handlers may
+// inspect arguments, fabricate results, or call call.Original() to invoke
+// the next handler in the chain (ultimately the real function) — the
+// trampoline of classic inline hooking.
+type HookHandler func(c *Context, call *Call) Result
+
+// genuineFunc is the real implementation beneath every hook chain. It
+// reads its arguments from the call frame, so the implementations are
+// plain functions that capture nothing.
+type genuineFunc func(c *Context, call *Call) Result
+
+// genuineSuccess is the implementation of the APIs whose only effect is
+// the call itself (its cost and trace event).
+func genuineSuccess(*Context, *Call) Result { return Result{Status: StatusSuccess} }
 
 // HookTable is a prebuilt, shareable set of hook chains: the in-memory
 // image of an injected DLL's patch set. A deployment builds its table once
@@ -49,36 +59,79 @@ func (t *HookTable) hook(api string, handler HookHandler) {
 	t.handlers[api] = append(t.handlers[api], handler)
 }
 
-// Call describes one in-flight API invocation as seen by a hook handler.
-// Dispatch is by index into the process's combined hook chain (kernel
-// chain below, user chain above), so one Call value serves the whole
+// maxArgs is the largest argument count of any modeled API.
+const maxArgs = 3
+
+type argKind uint8
+
+const (
+	argStr argKind = iota + 1
+	argInt
+	argDur
+	argBytes
+	argRef
+)
+
+// arg is one call argument. Strings, integers, durations and byte slices
+// are stored typed, so passing them boxes nothing; any other value (a
+// process handle, a registry value) rides in ref.
+type arg struct {
+	kind argKind
+	s    string
+	n    int64
+	b    []byte
+	ref  any
+}
+
+func strArg(s string) arg        { return arg{kind: argStr, s: s} }
+func intArg(n int) arg           { return arg{kind: argInt, n: int64(n)} }
+func durArg(d time.Duration) arg { return arg{kind: argDur, n: int64(d)} }
+func bytesArg(b []byte) arg      { return arg{kind: argBytes, b: b} }
+func refArg(v any) arg           { return arg{kind: argRef, ref: v} }
+
+// anyArg stores an argument of unknown type (DirectSyscall's), typed when
+// it is a string or an int so that StrArg and Arg read it as before.
+func anyArg(v any) arg {
+	switch v := v.(type) {
+	case string:
+		return strArg(v)
+	case int:
+		return intArg(v)
+	}
+	return refArg(v)
+}
+
+// Call is the frame of one in-flight API invocation as seen by a hook
+// handler. Dispatch is by index into the process's combined hook chain
+// (kernel chain below, user chain above), so one frame serves the whole
 // chain with no per-handler trampoline closures.
+//
+// Frames live on the System's frame stack and are reused by later calls:
+// a *Call is valid only while its handler runs. A handler must not keep
+// it, or call Original on it, after returning.
 type Call struct {
 	// Name is the API name from the catalog.
 	Name string
-	// Args are the call arguments in declaration order.
-	Args []any
 
+	args    [maxArgs]arg // in declaration order; args[:nargs] are set
+	nargs   int
 	c       *Context
 	st      *procState // user-mode chain source; nil for pure kernel dispatch
 	kchain  []HookHandler
-	genuine func() any
+	genuine genuineFunc
 	idx     int // combined-chain index of the running handler
 }
 
 // Original invokes the rest of the hook chain and finally the genuine API,
 // returning its result bundle. Calling it more than once re-executes the
 // remainder of the chain.
-func (call *Call) Original() any { return call.run(call.idx - 1) }
+func (call *Call) Original() Result { return call.run(call.idx - 1) }
 
 // run executes combined-chain position i: a handler for i >= 0, the
 // genuine implementation below the chain for i < 0.
-func (call *Call) run(i int) any {
+func (call *Call) run(i int) Result {
 	if i < 0 {
-		if call.genuine == nil {
-			return nil
-		}
-		return call.genuine()
+		return call.genuine(call.c, call)
 	}
 	h := call.handler(i)
 	saved := call.idx
@@ -101,16 +154,55 @@ func (call *Call) handler(i int) HookHandler {
 
 // Arg returns argument i, or nil when absent.
 func (call *Call) Arg(i int) any {
-	if i < 0 || i >= len(call.Args) {
+	if i < 0 || i >= call.nargs {
 		return nil
 	}
-	return call.Args[i]
+	a := &call.args[i]
+	switch a.kind {
+	case argStr:
+		return a.s
+	case argInt:
+		return int(a.n)
+	case argDur:
+		return time.Duration(a.n)
+	case argBytes:
+		return a.b
+	}
+	return a.ref
 }
 
 // StrArg returns argument i as a string ("" when absent or not a string).
 func (call *Call) StrArg(i int) string {
-	s, _ := call.Arg(i).(string)
-	return s
+	if i < 0 || i >= call.nargs || call.args[i].kind != argStr {
+		return ""
+	}
+	return call.args[i].s
+}
+
+// num returns integer or duration argument i unboxed; genuine
+// implementations read their own arguments, so the kind always matches.
+func (call *Call) num(i int) int64 { return call.args[i].n }
+
+// dispatch runs one call through its chain on the next frame of the
+// system's frame stack: kchain beneath st's user-mode chain for name (st is
+// nil at the raw syscall gate), genuine beneath both. A panic unwinding the
+// chain skips the pop; runOne resets the depth when it recovers.
+func (s *System) dispatch(c *Context, name string, args []arg, st *procState, kchain []HookHandler, genuine genuineFunc) Result {
+	if s.depth == len(s.frames) {
+		s.frames = append(s.frames, new(Call))
+	}
+	call := s.frames[s.depth]
+	s.depth++
+	call.Name = name
+	call.nargs = copy(call.args[:], args)
+	call.c, call.st, call.kchain, call.genuine = c, st, kchain, genuine
+	call.idx = len(kchain)
+	if st != nil {
+		call.idx += st.chainLen(name)
+	}
+	out := call.run(call.idx - 1)
+	s.depth--
+	return out
 }
 
 // Classic hot-patch prologue of Win32 API functions: mov edi,edi; push
@@ -147,15 +239,22 @@ var prologueCache = func() map[string][]byte {
 // lazily; a process that is never hooked costs one small struct.
 type procState struct {
 	// tables are shared hook tables in attach order; their chains sit
-	// below (run after) any per-process installs.
-	tables []*HookTable
+	// below (run after) any per-process installs. They start in tableBuf,
+	// which holds the environment monitor's and a deployment's table
+	// without a second allocation.
+	tables   []*HookTable
+	tableBuf [2]*HookTable
 	// local holds per-process InstallHook chains.
 	local map[string][]HookHandler
 	// Data lets hook packages (Scarecrow) keep per-process state.
 	Data map[string]any
 }
 
-func newProcState() *procState { return &procState{} }
+func newProcState() *procState {
+	st := &procState{}
+	st.tables = st.tableBuf[:0]
+	return st
+}
 
 // chainLen returns the combined user-mode chain length for the API.
 func (st *procState) chainLen(api string) int {
@@ -286,8 +385,9 @@ func (c *Context) PrologueIntact(api string) bool {
 // trace event, then dispatches through the process's hook chain (outermost
 // handler first) down to the genuine implementation. Native entry points
 // bottom out at the kernel syscall gate, where machine-wide kernel hooks
-// (if any) interpose beneath the user-mode chain.
-func (c *Context) invoke(name string, args []any, genuine func() any) any {
+// (if any) interpose beneath the user-mode chain. The arguments are copied
+// into a reused call frame, so dispatch allocates nothing.
+func (c *Context) invoke(name string, args []arg, genuine genuineFunc) Result {
 	meta, ok := apiCatalog[name]
 	if !ok {
 		panic(fmt.Sprintf("winapi: API %q missing from catalog", name))
@@ -303,16 +403,9 @@ func (c *Context) invoke(name string, args []any, genuine func() any) any {
 	c.M.Clock.Advance(meta.cost)
 	c.recordAPICall(name)
 
-	st := c.sys.stateFor(c.P.PID)
-	userLen := st.chainLen(name)
 	var kchain []HookHandler
 	if kernelHookable(name) {
 		kchain = c.sys.kernelHooks[name]
 	}
-	total := len(kchain) + userLen
-	if total == 0 {
-		return genuine()
-	}
-	call := &Call{Name: name, Args: args, c: c, st: st, kchain: kchain, genuine: genuine, idx: total}
-	return call.run(total - 1)
+	return c.sys.dispatch(c, name, args, c.sys.stateFor(c.P.PID), kchain, genuine)
 }

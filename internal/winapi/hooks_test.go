@@ -27,7 +27,7 @@ func TestPrologueIntactByDefault(t *testing.T) {
 
 func TestInstallHookPatchesPrologue(t *testing.T) {
 	sys, ctx := newTestSystem(t)
-	if err := sys.InstallHook(ctx.P.PID, "DeleteFile", func(c *Context, call *Call) any {
+	if err := sys.InstallHook(ctx.P.PID, "DeleteFile", func(c *Context, call *Call) Result {
 		return call.Original()
 	}); err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestHookManipulatesResult(t *testing.T) {
 	if st := ctx.RegOpenKeyEx(key); st.OK() {
 		t.Fatal("key should not exist on bare metal")
 	}
-	err := sys.InstallHook(ctx.P.PID, "RegOpenKeyEx", func(c *Context, call *Call) any {
+	err := sys.InstallHook(ctx.P.PID, "RegOpenKeyEx", func(c *Context, call *Call) Result {
 		if call.StrArg(0) == key {
 			return Result{Status: StatusSuccess}
 		}
@@ -87,7 +87,7 @@ func TestHookChainOrderOutermostLast(t *testing.T) {
 	sys, ctx := newTestSystem(t)
 	var order []string
 	mk := func(tag string) HookHandler {
-		return func(c *Context, call *Call) any {
+		return func(c *Context, call *Call) Result {
 			order = append(order, tag)
 			return call.Original()
 		}

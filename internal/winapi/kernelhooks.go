@@ -61,11 +61,6 @@ func (s *System) KernelHookedAPIs() []string {
 // dispatchSyscall runs the kernel hook chain for a system call, bottoming
 // out at the genuine kernel implementation. It is the single gate both
 // ntdll-routed calls and raw syscall stubs pass through.
-func (c *Context) dispatchSyscall(name string, args []any, genuine func() any) any {
-	chain := c.sys.kernelHooks[name]
-	if len(chain) == 0 {
-		return genuine()
-	}
-	call := &Call{Name: name, Args: args, c: c, kchain: chain, genuine: genuine, idx: len(chain)}
-	return call.run(len(chain) - 1)
+func (c *Context) dispatchSyscall(name string, args []arg, genuine genuineFunc) Result {
+	return c.sys.dispatch(c, name, args, nil, c.sys.kernelHooks[name], genuine)
 }

@@ -11,20 +11,21 @@ import (
 // SbieDll.dll, dbghelp.dll, or sandbox monitor DLLs is a standard evasion
 // check.
 func (c *Context) GetModuleHandle(name string) (uint64, Status) {
-	res := c.invoke("GetModuleHandle", []any{name}, func() any {
+	r := c.invoke("GetModuleHandle", []arg{strArg(name)}, func(c *Context, call *Call) Result {
+		name := call.StrArg(0)
 		if !c.P.HasModule(name) {
 			return Result{Status: StatusNotFound}
 		}
 		return Result{Status: StatusSuccess, Num: moduleAddr(name)}
 	})
-	r := res.(Result)
 	return r.Num, r.Status
 }
 
 // LoadLibrary loads a DLL into the process when its file exists on disk (or
 // it is a known system DLL), emitting the ImageLoad kernel event.
 func (c *Context) LoadLibrary(name string) (uint64, Status) {
-	res := c.invoke("LoadLibrary", []any{name}, func() any {
+	r := c.invoke("LoadLibrary", []arg{strArg(name)}, func(c *Context, call *Call) Result {
+		name := call.StrArg(0)
 		base := strings.ToLower(name)
 		known := c.M.FS.Exists(`C:\Windows\System32\`+base) || c.M.FS.Exists(name)
 		if !known {
@@ -42,7 +43,6 @@ func (c *Context) LoadLibrary(name string) (uint64, Status) {
 		}
 		return Result{Status: StatusSuccess, Num: moduleAddr(name)}
 	})
-	r := res.(Result)
 	return r.Num, r.Status
 }
 
@@ -52,7 +52,8 @@ func (c *Context) LoadLibrary(name string) (uint64, Status) {
 // resolve only where the environment provides them (never, in these
 // profiles — Scarecrow fakes them instead).
 func (c *Context) GetProcAddress(module, proc string) (uint64, Status) {
-	res := c.invoke("GetProcAddress", []any{module, proc}, func() any {
+	r := c.invoke("GetProcAddress", []arg{strArg(module), strArg(proc)}, func(c *Context, call *Call) Result {
+		module, proc := call.StrArg(0), call.StrArg(1)
 		if !c.P.HasModule(module) {
 			return Result{Status: StatusInvalidHandle}
 		}
@@ -63,7 +64,6 @@ func (c *Context) GetProcAddress(module, proc string) (uint64, Status) {
 		// if the environment explicitly exports them.
 		return Result{Status: StatusNotFound}
 	})
-	r := res.(Result)
 	return r.Num, r.Status
 }
 

@@ -8,24 +8,19 @@ import (
 // Whether non-existent domains resolve is the environment signal WannaCry's
 // kill switch keys on: sinkholing sandboxes answer, real networks do not.
 func (c *Context) DnsQuery(domain string) (string, Status) {
-	res := c.invoke("DnsQuery", []any{domain}, func() any {
-		return c.genuineResolve(domain)
-	})
-	r := res.(Result)
+	r := c.invoke("DnsQuery", []arg{strArg(domain)}, genuineResolve)
 	return r.Str, r.Status
 }
 
 // Getaddrinfo is the socket-layer resolution path; same semantics as
 // DnsQuery, separately hookable.
 func (c *Context) Getaddrinfo(domain string) (string, Status) {
-	res := c.invoke("getaddrinfo", []any{domain}, func() any {
-		return c.genuineResolve(domain)
-	})
-	r := res.(Result)
+	r := c.invoke("getaddrinfo", []arg{strArg(domain)}, genuineResolve)
 	return r.Str, r.Status
 }
 
-func (c *Context) genuineResolve(domain string) Result {
+func genuineResolve(c *Context, call *Call) Result {
+	domain := call.StrArg(0)
 	addr, ok := c.M.Net.Resolve(domain)
 	c.M.Record(trace.Event{
 		Kind: trace.KindDNSQuery, PID: c.P.PID, Image: c.P.Image,
@@ -40,7 +35,8 @@ func (c *Context) genuineResolve(domain string) Result {
 // InternetOpenUrl performs an HTTP GET against a resolved address,
 // returning 200 when something answers.
 func (c *Context) InternetOpenUrl(addr string) (int, Status) {
-	res := c.invoke("InternetOpenUrl", []any{addr}, func() any {
+	r := c.invoke("InternetOpenUrl", []arg{strArg(addr)}, func(c *Context, call *Call) Result {
+		addr := call.StrArg(0)
 		ok := c.M.Net.HTTPGet(addr)
 		c.M.Record(trace.Event{
 			Kind: trace.KindHTTPRequest, PID: c.P.PID, Image: c.P.Image,
@@ -51,13 +47,13 @@ func (c *Context) InternetOpenUrl(addr string) (int, Status) {
 		}
 		return Result{Status: StatusSuccess, Code: 200}
 	})
-	r := res.(Result)
 	return r.Code, r.Status
 }
 
 // Connect opens a TCP connection to an address.
 func (c *Context) Connect(addr string) Status {
-	res := c.invoke("connect", []any{addr}, func() any {
+	return c.invoke("connect", []arg{strArg(addr)}, func(c *Context, call *Call) Result {
+		addr := call.StrArg(0)
 		ok := c.M.Net.HTTPGet(addr)
 		c.M.Record(trace.Event{
 			Kind: trace.KindTCPConnect, PID: c.P.PID, Image: c.P.Image,
@@ -67,6 +63,5 @@ func (c *Context) Connect(addr string) Status {
 			return Result{Status: StatusTimeout}
 		}
 		return Result{Status: StatusSuccess}
-	})
-	return res.(Result).Status
+	}).Status
 }

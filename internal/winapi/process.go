@@ -18,11 +18,7 @@ type ProcessEntry struct {
 // queued on the scheduler and runs after the current body yields. The
 // returned process handle is the child's kernel object.
 func (c *Context) CreateProcess(image, cmdline string) (*winsim.Process, Status) {
-	res := c.invoke("CreateProcess", []any{image, cmdline}, func() any {
-		child := c.sys.Launch(image, cmdline, c.P)
-		return Result{Status: StatusSuccess, Proc: child}
-	})
-	r := res.(Result)
+	r := c.invoke("CreateProcess", []arg{strArg(image), strArg(cmdline)}, genuineLaunch)
 	return r.Proc, r.Status
 }
 
@@ -30,18 +26,19 @@ func (c *Context) CreateProcess(image, cmdline string) (*winsim.Process, Status)
 // identical to CreateProcess here, but a separate hookable entry point
 // (stock Cuckoo hooks it — Table II's lone Hook trigger without Scarecrow).
 func (c *Context) ShellExecuteExW(image, cmdline string) (*winsim.Process, Status) {
-	res := c.invoke("ShellExecuteExW", []any{image, cmdline}, func() any {
-		child := c.sys.Launch(image, cmdline, c.P)
-		return Result{Status: StatusSuccess, Proc: child}
-	})
-	r := res.(Result)
+	r := c.invoke("ShellExecuteExW", []arg{strArg(image), strArg(cmdline)}, genuineLaunch)
 	return r.Proc, r.Status
+}
+
+func genuineLaunch(c *Context, call *Call) Result {
+	child := c.sys.Launch(call.StrArg(0), call.StrArg(1), c.P)
+	return Result{Status: StatusSuccess, Proc: child}
 }
 
 // ExitProcess terminates the calling process; it does not return.
 func (c *Context) ExitProcess(code int) {
-	c.invoke("ExitProcess", []any{code}, func() any {
-		panic(exitPanic{code: code})
+	c.invoke("ExitProcess", []arg{intArg(code)}, func(c *Context, call *Call) Result {
+		panic(exitPanic{code: int(call.num(0))})
 	})
 	panic(exitPanic{code: code}) // a hook swallowed the exit; force it anyway
 }
@@ -50,8 +47,8 @@ func (c *Context) ExitProcess(code int) {
 // deceptive analysis-tool processes Scarecrow plants) refuse termination
 // with access denied, as §II-B(b) of the paper requires.
 func (c *Context) TerminateProcess(pid int) Status {
-	res := c.invoke("TerminateProcess", []any{pid}, func() any {
-		p, ok := c.M.Procs.Get(pid)
+	return c.invoke("TerminateProcess", []arg{intArg(pid)}, func(c *Context, call *Call) Result {
+		p, ok := c.M.Procs.Get(int(call.num(0)))
 		if !ok || p.State == winsim.ProcessExited {
 			return Result{Status: StatusInvalidParam}
 		}
@@ -60,14 +57,13 @@ func (c *Context) TerminateProcess(pid int) Status {
 		}
 		c.M.ExitProcess(p, 1)
 		return Result{Status: StatusSuccess}
-	})
-	return res.(Result).Status
+	}).Status
 }
 
 // OpenProcess opens a handle to a process, failing for protected targets.
 func (c *Context) OpenProcess(pid int) Status {
-	res := c.invoke("OpenProcess", []any{pid}, func() any {
-		p, ok := c.M.Procs.Get(pid)
+	return c.invoke("OpenProcess", []arg{intArg(pid)}, func(c *Context, call *Call) Result {
+		p, ok := c.M.Procs.Get(int(call.num(0)))
 		if !ok {
 			return Result{Status: StatusInvalidParam}
 		}
@@ -75,14 +71,13 @@ func (c *Context) OpenProcess(pid int) Status {
 			return Result{Status: StatusAccessDenied}
 		}
 		return Result{Status: StatusSuccess}
-	})
-	return res.(Result).Status
+	}).Status
 }
 
 // CreateToolhelp32Snapshot returns the process list (the
 // Process32First/Next sweep collapsed into one call).
 func (c *Context) CreateToolhelp32Snapshot() []ProcessEntry {
-	res := c.invoke("CreateToolhelp32Snapshot", nil, func() any {
+	return c.invoke("CreateToolhelp32Snapshot", nil, func(c *Context, call *Call) Result {
 		running := c.M.Procs.Running()
 		entries := make([]ProcessEntry, 0, len(running))
 		for _, p := range running {
@@ -91,51 +86,47 @@ func (c *Context) CreateToolhelp32Snapshot() []ProcessEntry {
 			})
 		}
 		return Result{Status: StatusSuccess, Entries: entries}
-	})
-	return res.(Result).Entries
+	}).Entries
 }
 
 // GetCurrentProcessId returns the caller's PID.
 func (c *Context) GetCurrentProcessId() int {
-	c.invoke("GetCurrentProcessId", nil, func() any { return Result{Status: StatusSuccess} })
+	c.invoke("GetCurrentProcessId", nil, genuineSuccess)
 	return c.P.PID
 }
 
 // GetModuleFileName returns the full path of the process image.
 func (c *Context) GetModuleFileName() string {
-	res := c.invoke("GetModuleFileName", nil, func() any {
+	return c.invoke("GetModuleFileName", nil, func(c *Context, call *Call) Result {
 		return Result{Status: StatusSuccess, Str: c.P.Image}
-	})
-	return res.(Result).Str
+	}).Str
 }
 
 // GetCommandLine returns the command line of the process.
 func (c *Context) GetCommandLine() string {
-	res := c.invoke("GetCommandLine", nil, func() any {
+	return c.invoke("GetCommandLine", nil, func(c *Context, call *Call) Result {
 		return Result{Status: StatusSuccess, Str: c.P.CommandLine}
-	})
-	return res.(Result).Str
+	}).Str
 }
 
 // ParentProcessImage resolves the parent process's image base name via
 // NtQueryInformationProcess, the check malware uses to spot analysis
 // daemons as parents (the Scarecrow controller deliberately mimics this).
 func (c *Context) ParentProcessImage() string {
-	res := c.invoke("NtQueryInformationProcess", []any{"ParentProcess"}, func() any {
+	return c.invoke("NtQueryInformationProcess", []arg{strArg("ParentProcess")}, func(c *Context, call *Call) Result {
 		parent, ok := c.M.Procs.Get(c.P.ParentPID)
 		if !ok {
 			return Result{Status: StatusNotFound}
 		}
 		return Result{Status: StatusSuccess, Str: parent.ImageBase()}
-	})
-	return res.(Result).Str
+	}).Str
 }
 
 // Sleep suspends the caller for the given duration of virtual time (scaled
 // by the machine's sleep factor).
 func (c *Context) Sleep(d time.Duration) {
-	c.invoke("Sleep", []any{d}, func() any {
-		c.M.Sleep(d)
+	c.invoke("Sleep", []arg{durArg(d)}, func(c *Context, call *Call) Result {
+		c.M.Sleep(time.Duration(call.num(0)))
 		return Result{Status: StatusSuccess}
 	})
 }
@@ -145,14 +136,13 @@ func (c *Context) Sleep(d time.Duration) {
 // call models the polling wait malware droppers use, advancing time and
 // reporting whether the target has already exited.
 func (c *Context) WaitForSingleObject(p *winsim.Process, timeout time.Duration) Status {
-	res := c.invoke("WaitForSingleObject", []any{p, timeout}, func() any {
-		if p != nil && p.State == winsim.ProcessExited {
+	return c.invoke("WaitForSingleObject", []arg{refArg(p), durArg(timeout)}, func(c *Context, call *Call) Result {
+		if p, _ := call.Arg(0).(*winsim.Process); p != nil && p.State == winsim.ProcessExited {
 			return Result{Status: StatusSuccess}
 		}
-		c.M.Sleep(timeout)
+		c.M.Sleep(time.Duration(call.num(1)))
 		return Result{Status: StatusTimeout}
-	})
-	return res.(Result).Status
+	}).Status
 }
 
 // InjectIntoProcess models cross-process code injection (WriteProcessMemory

@@ -30,51 +30,46 @@ type AdapterInfo struct {
 
 // GetSystemInfo reports processor topology.
 func (c *Context) GetSystemInfo() SystemInfo {
-	res := c.invoke("GetSystemInfo", nil, func() any {
+	return c.invoke("GetSystemInfo", nil, func(c *Context, call *Call) Result {
 		return Result{Status: StatusSuccess, SysInfo: SystemInfo{
 			NumberOfProcessors: c.M.HW.NumCores,
 			ProcessorBrand:     c.M.HW.CPUBrand,
 		}}
-	})
-	return res.(Result).SysInfo
+	}).SysInfo
 }
 
 // GlobalMemoryStatusEx reports physical memory. Table I's sample 9fac72a
 // was deactivated by Scarecrow's deceptive answer here.
 func (c *Context) GlobalMemoryStatusEx() MemoryStatus {
-	res := c.invoke("GlobalMemoryStatusEx", nil, func() any {
+	return c.invoke("GlobalMemoryStatusEx", nil, func(c *Context, call *Call) Result {
 		total := c.M.HW.RAMBytes
 		return Result{Status: StatusSuccess, Mem: MemoryStatus{
 			TotalPhysBytes: total, AvailPhysBytes: total / 2,
 		}}
-	})
-	return res.(Result).Mem
+	}).Mem
 }
 
 // GetComputerName returns the host name.
 func (c *Context) GetComputerName() string {
-	res := c.invoke("GetComputerName", nil, func() any {
+	return c.invoke("GetComputerName", nil, func(c *Context, call *Call) Result {
 		return Result{Status: StatusSuccess, Str: c.M.HW.ComputerName}
-	})
-	return res.(Result).Str
+	}).Str
 }
 
 // GetUserName returns the logged-in user name.
 func (c *Context) GetUserName() string {
-	res := c.invoke("GetUserName", nil, func() any {
+	return c.invoke("GetUserName", nil, func(c *Context, call *Call) Result {
 		return Result{Status: StatusSuccess, Str: c.M.HW.UserName}
-	})
-	return res.(Result).Str
+	}).Str
 }
 
 // GetVersionEx returns the OS version.
 func (c *Context) GetVersionEx() OSVersionInfo {
-	res := c.invoke("GetVersionEx", nil, func() any {
+	return c.invoke("GetVersionEx", nil, func(c *Context, call *Call) Result {
 		return Result{Status: StatusSuccess, Ver: OSVersionInfo{
 			Major: c.M.OS.Major, Minor: c.M.OS.Minor, Build: c.M.OS.Build,
 		}}
-	})
-	return res.(Result).Ver
+	}).Ver
 }
 
 // IsNativeVhdBoot reports whether the system booted from a VHD. The API
@@ -82,13 +77,12 @@ func (c *Context) GetVersionEx() OSVersionInfo {
 // it fails with ERROR_NOT_SUPPORTED — the paper's explanation for one
 // missed Pafish feature.
 func (c *Context) IsNativeVhdBoot() (bool, Status) {
-	res := c.invoke("IsNativeVhdBoot", nil, func() any {
+	r := c.invoke("IsNativeVhdBoot", nil, func(c *Context, call *Call) Result {
 		if !c.M.OS.AtLeast(6, 2) {
 			return Result{Status: StatusNotSupported}
 		}
 		return Result{Status: StatusSuccess, Bool: false}
 	})
-	r := res.(Result)
 	return r.Bool, r.Status
 }
 
@@ -103,10 +97,9 @@ const (
 // process counts, registry quota usage (the regSize wear-and-tear
 // artifact), and kernel debugger presence.
 func (c *Context) NtQuerySystemInformation(class string) (uint64, Status) {
-	res := c.invoke("NtQuerySystemInformation", []any{class}, func() any {
-		return c.genuineSystemInformation(class)
+	r := c.invoke("NtQuerySystemInformation", []arg{strArg(class)}, func(c *Context, call *Call) Result {
+		return c.genuineSystemInformation(call.StrArg(0))
 	})
-	r := res.(Result)
 	return r.Num, r.Status
 }
 
@@ -129,14 +122,13 @@ func (c *Context) genuineSystemInformation(class string) Result {
 
 // GetAdaptersInfo lists network adapters with their MAC addresses.
 func (c *Context) GetAdaptersInfo() []AdapterInfo {
-	res := c.invoke("GetAdaptersInfo", nil, func() any {
+	return c.invoke("GetAdaptersInfo", nil, func(c *Context, call *Call) Result {
 		adapters := make([]AdapterInfo, 0, len(c.M.HW.MACs))
 		for _, mac := range c.M.HW.MACs {
 			adapters = append(adapters, AdapterInfo{MAC: mac})
 		}
 		return Result{Status: StatusSuccess, Adapters: adapters}
-	})
-	return res.(Result).Adapters
+	}).Adapters
 }
 
 // PackCursorPos packs a cursor position into the Num field of a Result,
@@ -147,11 +139,10 @@ func PackCursorPos(x, y int) uint64 {
 
 // GetCursorPos samples the pointer position at the current virtual time.
 func (c *Context) GetCursorPos() (x, y int) {
-	res := c.invoke("GetCursorPos", nil, func() any {
+	packed := c.invoke("GetCursorPos", nil, func(c *Context, call *Call) Result {
 		cx, cy := c.M.Mouse.CursorAt(c.M.Clock.TickCount())
 		return Result{Status: StatusSuccess, Num: PackCursorPos(cx, cy)}
-	})
-	packed := res.(Result).Num
+	}).Num
 	return int(int32(uint32(packed >> 32))), int(int32(uint32(packed)))
 }
 
@@ -159,14 +150,13 @@ func (c *Context) GetCursorPos() (x, y int) {
 // source names starting at offset. Total event volume and source diversity
 // are the sysevt/syssrc wear-and-tear artifacts.
 func (c *Context) EvtNext(offset, max int) ([]string, int) {
-	res := c.invoke("EvtNext", []any{offset, max}, func() any {
+	r := c.invoke("EvtNext", []arg{intArg(offset), intArg(max)}, func(c *Context, call *Call) Result {
 		return Result{
 			Status: StatusSuccess,
 			Strs:   c.M.EventLog.Sources(),
 			Num:    uint64(c.M.EventLog.Count()),
 		}
 	})
-	r := res.(Result)
 	total := int(r.Num)
 	if offset >= total {
 		return nil, total
@@ -190,10 +180,9 @@ func (c *Context) EvtNext(offset, max int) ([]string, int) {
 // DnsGetCacheDataTable returns the client DNS cache entries (the
 // dnscacheEntries wear-and-tear artifact).
 func (c *Context) DnsGetCacheDataTable() []string {
-	res := c.invoke("DnsGetCacheDataTable", nil, func() any {
+	return c.invoke("DnsGetCacheDataTable", nil, func(c *Context, call *Call) Result {
 		return Result{Status: StatusSuccess, Strs: c.M.Net.Cache.Entries()}
-	})
-	return res.(Result).Strs
+	}).Strs
 }
 
 // WMIQuery answers a WMI identity query of the form class.property against
@@ -201,9 +190,9 @@ func (c *Context) DnsGetCacheDataTable() []string {
 // Win32 APIs, which is why Scarecrow's user-level hooks do not cover it
 // (the three WMI-based Pafish VirtualBox checks stay un-deceived).
 func (c *Context) WMIQuery(class, property string) (string, Status) {
-	res := c.invoke("WMIQuery", []any{class, property}, func() any {
+	r := c.invoke("WMIQuery", []arg{strArg(class), strArg(property)}, func(c *Context, call *Call) Result {
 		hw := c.M.HW
-		switch strings.ToLower(class + "." + property) {
+		switch strings.ToLower(call.StrArg(0) + "." + call.StrArg(1)) {
 		case "win32_bios.serialnumber":
 			return Result{Status: StatusSuccess, Str: hw.BIOSSerial}
 		case "win32_computersystem.manufacturer":
@@ -216,6 +205,5 @@ func (c *Context) WMIQuery(class, property string) (string, Status) {
 			return Result{Status: StatusInvalidParam}
 		}
 	})
-	r := res.(Result)
 	return r.Str, r.Status
 }

@@ -66,6 +66,12 @@ type System struct {
 	// kernelhooks.go); nil until the first InstallKernelHook.
 	kernelHooks map[string][]HookHandler
 
+	// frames is the depth-indexed stack of reusable API call frames (see
+	// Call); frames[:depth] are in flight. The scheduler runs one process
+	// body at a time, to completion, so one stack serves the whole system.
+	frames []*Call
+	depth  int
+
 	// ChildLaunched, when non-nil, is called after a process is created
 	// and queued, before it runs. The Scarecrow controller uses it to
 	// follow injection into descendants of the target.
@@ -92,7 +98,7 @@ type System struct {
 
 // monitorPassthrough is the body of every environment-monitor hook: the
 // sandbox's monitor observes, it does not rewrite.
-func monitorPassthrough(c *Context, call *Call) any { return call.Original() }
+func monitorPassthrough(c *Context, call *Call) Result { return call.Original() }
 
 // NewSystem wraps a machine with an empty user-mode world. The machine's
 // MonitorHookedAPIs (its own analysis monitor, e.g. the Cuckoo in-guest
@@ -211,8 +217,13 @@ func (s *System) runOne(p *winsim.Process) (expired bool) {
 
 	body, registered := s.programs[winsim.NormalizePath(p.Image)]
 
+	// A body unwound by ExitProcess or the time budget leaves its
+	// in-flight call frames behind; drop them so the next body's calls
+	// start from the same depth.
+	depth := s.depth
 	defer func() {
 		r := recover()
+		s.depth = depth
 		switch v := r.(type) {
 		case nil:
 		case exitPanic:

@@ -96,11 +96,11 @@ func TestSelfSpawnLoopBoundedByBudget(t *testing.T) {
 	// Force the debugger answer via a hook on every process, mimicking
 	// Scarecrow, to produce the endless respawn chain.
 	sys.ChildLaunched = func(parent, child *winsim.Process) {
-		_ = sys.InstallHook(child.PID, "IsDebuggerPresent", func(c *Context, call *Call) any {
+		_ = sys.InstallHook(child.PID, "IsDebuggerPresent", func(c *Context, call *Call) Result {
 			return Result{Status: StatusSuccess, Bool: true}
 		})
 	}
-	_ = sys.InstallHook(p.PID, "IsDebuggerPresent", func(c *Context, call *Call) any {
+	_ = sys.InstallHook(p.PID, "IsDebuggerPresent", func(c *Context, call *Call) Result {
 		return Result{Status: StatusSuccess, Bool: true}
 	})
 	sys.Run(time.Minute)

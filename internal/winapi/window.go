@@ -9,7 +9,8 @@ import (
 // FindWindow looks for a top-level window by class and/or title —
 // the debugger-window probe from §II-B(d) of the paper.
 func (c *Context) FindWindow(class, title string) (winsim.Window, Status) {
-	res := c.invoke("FindWindow", []any{class, title}, func() any {
+	r := c.invoke("FindWindow", []arg{strArg(class), strArg(title)}, func(c *Context, call *Call) Result {
+		class, title := call.StrArg(0), call.StrArg(1)
 		w, ok := c.M.Windows.Find(class, title)
 		c.M.Record(trace.Event{
 			Kind: trace.KindWindowQuery, PID: c.P.PID, Image: c.P.Image,
@@ -20,14 +21,12 @@ func (c *Context) FindWindow(class, title string) (winsim.Window, Status) {
 		}
 		return Result{Status: StatusSuccess, Window: w}
 	})
-	r := res.(Result)
 	return r.Window, r.Status
 }
 
 // EnumWindows returns the class names of all top-level windows.
 func (c *Context) EnumWindows() []string {
-	res := c.invoke("EnumWindows", nil, func() any {
+	return c.invoke("EnumWindows", nil, func(c *Context, call *Call) Result {
 		return Result{Status: StatusSuccess, Strs: c.M.Windows.Classes()}
-	})
-	return res.(Result).Strs
+	}).Strs
 }

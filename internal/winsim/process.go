@@ -118,7 +118,9 @@ func (t *ProcessTable) Create(image, cmdline string, parentPID int, start time.D
 		CommandLine: cmdline,
 		State:       ProcessPending,
 		StartTime:   start,
-		Modules:     []string{"ntdll.dll", "kernel32.dll"},
+		// Room for one more module: an injected process loads
+		// scarecrow.dll next, and that load must not reallocate.
+		Modules: append(make([]string, 0, 3), "ntdll.dll", "kernel32.dll"),
 	}
 	t.nextPID += 4
 	t.procs[p.PID] = p
