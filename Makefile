@@ -71,13 +71,15 @@ cover:
 		printf "internal/store coverage %.1f%% (floor 85%%)\n", c }'
 
 # fuzz-smoke gives the deterministic-state fuzzers a short budget on every
-# CI run: snapshot/restore round-trips and WAL record decoding. Found
-# inputs land in testdata/fuzz and become regression tests.
+# CI run: snapshot/restore round-trips, WAL record decoding, the predicate
+# codec, the detector window and the verdict trigger table. Found inputs
+# land in testdata/fuzz and become regression tests.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzSnapshotRestore -fuzztime=10s -run '^$$' ./internal/winsim
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s -run '^$$' ./internal/store
 	$(GO) test -fuzz=FuzzPredicateCodec -fuzztime=10s -run '^$$' ./internal/synth
 	$(GO) test -fuzz=FuzzDetectorWindow -fuzztime=10s -run '^$$' ./internal/deter
+	$(GO) test -fuzz=FuzzTriggerTable -fuzztime=10s -run '^$$' ./internal/analysis
 
 # generate regenerates the checked-in code: the per-struct snapshot clone
 # methods in internal/winsim/snapshot_gen.go (kept honest by the

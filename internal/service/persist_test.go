@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"scarecrow/internal/analysis"
 	"scarecrow/internal/store"
 )
 
@@ -74,6 +75,79 @@ func TestStoreServesVerdictsAcrossRestart(t *testing.T) {
 	}
 	if got := s2.Snapshot().StoreHits; got != 1 {
 		t.Fatalf("StoreHits = %d after promoted replay, want still 1", got)
+	}
+}
+
+// A WAL written before the trigger table holds untagged v1 verdicts.
+// Such a record is a miss, not a hit: the lab reruns the key, the client
+// gets v2 bytes, and the commit overwrites the v1 record, so the next
+// generation replays the v2 bytes from the store. Campaign checkpoint
+// records share the log and pass through untouched.
+func TestStoreV1RecordIsRerunAndOverwritten(t *testing.T) {
+	dir := t.TempDir()
+	req := catalogRequest(12)
+	key, err := RouteKey(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := []byte(`{"specimen":"kasidet","family":"Kasidet","source":"case-study","category":"deactivated",` +
+		`"deactivated":true,"first_trigger":"IsDebuggerPresent()","behaviour_without":"x","behaviour_with":"y",` +
+		`"suppressed":{},"raw_mutations":3,"protected_mutations":0,"triggers":[` +
+		`{"time_ns":1000,"pid":1004,"api":"IsDebuggerPresent","category":"debugger","resource":""},` +
+		`{"time_ns":2000,"pid":1008,"api":"IsDebuggerPresent","category":"debugger","resource":""}],` +
+		`"virtual_ns":5000,"attempts":1}`)
+	ckpt := []byte(`{"campaign":"c1","done":3}`)
+
+	st0 := openStore(t, dir)
+	if err := st0.Put(key, v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := st0.PutCheckpoint("c1", ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := st0.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st1 := openStore(t, dir)
+	s1 := NewServer(Config{Workers: 1, QueueDepth: 8, CacheSize: 16, Store: st1})
+	s1.Start()
+	j1 := mustSubmit(t, s1, req)
+	waitDone(t, j1)
+	v2 := j1.Verdict()
+	if j1.CacheHit() {
+		t.Fatal("a v1 record was served as a hit")
+	}
+	if !analysis.CurrentWire(v2) {
+		t.Fatalf("served verdict is not v2: %.60s", v2)
+	}
+	if snap := s1.Snapshot(); snap.StoreHits != 0 || snap.LabRuns != 1 {
+		t.Fatalf("v1 record: StoreHits = %d, LabRuns = %d, want 0 and 1", snap.StoreHits, snap.LabRuns)
+	}
+	shutdown(t, s1)
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir)
+	if got, ok, err := st2.Get(key); err != nil || !ok || !bytes.Equal(got, v2) {
+		t.Fatalf("reopened store holds %.60s (ok=%v, err=%v), want the v2 verdict", got, ok, err)
+	}
+	s2 := NewServer(Config{Workers: 1, QueueDepth: 8, CacheSize: 16, Store: st2})
+	s2.Start()
+	defer shutdown(t, s2)
+	j2 := mustSubmit(t, s2, req)
+	if !j2.CacheHit() || !bytes.Equal(j2.Verdict(), v2) {
+		t.Fatalf("restart did not replay the v2 verdict as a hit: hit=%v\n%s", j2.CacheHit(), j2.Verdict())
+	}
+	if snap := s2.Snapshot(); snap.StoreHits != 1 || snap.LabRuns != 0 {
+		t.Fatalf("v2 record: StoreHits = %d, LabRuns = %d, want 1 and 0", snap.StoreHits, snap.LabRuns)
+	}
+	if got, ok, err := st2.GetCheckpoint("c1"); err != nil || !ok || !bytes.Equal(got, ckpt) {
+		t.Fatalf("checkpoint record = %s (ok=%v, err=%v), want %s", got, ok, err, ckpt)
+	}
+	if names, err := st2.Checkpoints(); err != nil || len(names) != 1 || names[0] != "c1" {
+		t.Fatalf("Checkpoints() = %v, %v; want [c1]", names, err)
 	}
 }
 

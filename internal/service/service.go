@@ -307,7 +307,9 @@ func (s *Server) Submit(req SubmitRequest) (*Job, error) {
 	// Second-level replay: the durable store. A hit here means some past
 	// run — possibly in a previous process — committed this exact key;
 	// the WAL bytes are the verdict. Promote into the memory cache so
-	// the next replay skips the disk.
+	// the next replay skips the disk. A record of an older wire version
+	// is a miss: the lab reruns the key, and the commit overwrites the
+	// record so compaction reclaims it.
 	if s.cfg.Store != nil {
 		verdict, ok, err := s.cfg.Store.Get(res.key)
 		switch {
@@ -315,7 +317,7 @@ func (s *Server) Submit(req SubmitRequest) (*Job, error) {
 			// A read failure downgrades to a lab run, it never fails the
 			// submission: the store is an accelerator, not a dependency.
 			s.storeErrors++
-		case ok:
+		case ok && analysis.CurrentWire(verdict):
 			s.storeHits++
 			s.cache.Put(res.key, verdict)
 			job := s.newJobLocked(res)
@@ -483,7 +485,7 @@ func mustMarshal(res analysis.SampleResult) []byte {
 		if res.Specimen != nil {
 			id = res.Specimen.ID
 		}
-		verdict = []byte(fmt.Sprintf(`{"specimen":%q,"category":"error","error":%q}`, id, err.Error()))
+		verdict = []byte(fmt.Sprintf(`{"wire":%d,"specimen":%q,"category":"error","error":%q}`, analysis.WireVersion, id, err.Error()))
 	}
 	return verdict
 }

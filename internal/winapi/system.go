@@ -215,7 +215,8 @@ func (s *System) runOne(p *winsim.Process) (expired bool) {
 	p.State = winsim.ProcessRunning
 	ctx := s.Context(p)
 
-	body, registered := s.programs[winsim.NormalizePath(p.Image)]
+	var path [128]byte
+	body, registered := s.programs[string(winsim.AppendNormalPath(path[:0], p.Image))]
 
 	// A body unwound by ExitProcess or the time budget leaves its
 	// in-flight call frames behind; drop them so the next body's calls

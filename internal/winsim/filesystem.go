@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // FileKind distinguishes regular files, directories, and device objects
@@ -103,6 +104,33 @@ func NormalizePath(p string) string {
 		p += `\`
 	}
 	return p
+}
+
+// AppendNormalPath appends NormalizePath(p) to dst and returns the
+// extended slice. An ASCII path is folded byte by byte, so a caller that
+// passes a stack buffer and indexes a map with string(result) looks the
+// path up without a heap string.
+func AppendNormalPath(dst []byte, p string) []byte {
+	start := len(dst)
+	for i := 0; i < len(p); i++ {
+		c := p[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			return append(dst[:start], NormalizePath(p)...)
+		case c == '/':
+			c = '\\'
+		case 'A' <= c && c <= 'Z':
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	for len(dst) > start && dst[len(dst)-1] == '\\' {
+		dst = dst[:len(dst)-1]
+	}
+	if n := len(dst) - start; n == 0 || n == 2 && dst[start+1] == ':' {
+		dst = append(dst, '\\')
+	}
+	return dst
 }
 
 // AddVolume registers or replaces a volume.

@@ -113,11 +113,29 @@ func TestNormalizePath(t *testing.T) {
 		{`C:`, `c:\`},
 		{`C:\`, `c:\`},
 		{`\\.\VBoxGuest`, `\\.\vboxguest`},
+		{``, `\`},
+		{`//`, `\`},
+		{`D:/`, `d:\`},
+		{`C:\Ünï\K`, `c:\ünï\k`},
 	}
 	for _, tt := range tests {
 		if got := NormalizePath(tt.in); got != tt.want {
 			t.Errorf("NormalizePath(%q) = %q, want %q", tt.in, got, tt.want)
 		}
+		if got := string(AppendNormalPath(nil, tt.in)); got != tt.want {
+			t.Errorf("AppendNormalPath(%q) = %q, want %q", tt.in, got, tt.want)
+		}
+	}
+	// A stack buffer keeps the lookup key off the heap.
+	m := map[string]bool{`c:\users\john\sample.exe`: true}
+	allocs := testing.AllocsPerRun(100, func() {
+		var buf [64]byte
+		if !m[string(AppendNormalPath(buf[:0], `C:\Users\John\Sample.EXE`))] {
+			t.Fatal("lookup missed")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AppendNormalPath lookup allocates %.0f objects, want 0", allocs)
 	}
 }
 

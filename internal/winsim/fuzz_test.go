@@ -12,7 +12,7 @@ import (
 func FuzzNormalizePath(f *testing.F) {
 	for _, seed := range []string{
 		`C:\Windows\System32`, `c:/users/x/../y`, `\\.\VBoxGuest`, `C:`,
-		``, `\`, `/`, `C:\a\`, strings.Repeat(`\x`, 50),
+		``, `\`, `/`, `C:\a\`, strings.Repeat(`\x`, 50), `D:/`, `C:\Ünï\K`,
 	} {
 		f.Add(seed)
 	}
@@ -26,6 +26,9 @@ func FuzzNormalizePath(f *testing.F) {
 		}
 		if norm != strings.ToLower(norm) {
 			t.Errorf("not lowercased: %q", norm)
+		}
+		if got := string(AppendNormalPath([]byte("p:"), path)); got != "p:"+norm {
+			t.Errorf("AppendNormalPath(%q) = %q, want %q", path, got, "p:"+norm)
 		}
 	})
 }

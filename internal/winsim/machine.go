@@ -160,6 +160,21 @@ func (m *Machine) ExitProcess(p *Process, code int) {
 	m.Windows.RemoveByPID(p.PID)
 	m.Record(trace.Event{
 		Kind: trace.KindProcessExit, PID: p.PID, Image: p.Image,
-		Target: p.Image, Detail: "code=" + strconv.Itoa(code), Success: true,
+		Target: p.Image, Detail: exitDetail(code), Success: true,
 	})
+}
+
+// exitDetail renders an exit event's Detail. The codes processes exit
+// with almost always (0, 1, and 137 for a mitigation kill) are constants,
+// so an exit allocates nothing.
+func exitDetail(code int) string {
+	switch code {
+	case 0:
+		return "code=0"
+	case 1:
+		return "code=1"
+	case 137:
+		return "code=137"
+	}
+	return "code=" + strconv.Itoa(code)
 }

@@ -1,6 +1,7 @@
 package winsim
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -70,6 +71,16 @@ func TestMachineSpawnAndExit(t *testing.T) {
 	m.ExitProcess(p, 1) // idempotent
 	if len(m.Tracer.ByKind(trace.KindProcessExit)) != 1 {
 		t.Error("double exit recorded")
+	}
+}
+
+// The exit event's Detail reads "code=<n>" whether or not the code has a
+// constant rendering.
+func TestExitDetail(t *testing.T) {
+	for _, code := range []int{0, 1, 2, 137, 259, -1} {
+		if got, want := exitDetail(code), "code="+strconv.Itoa(code); got != want {
+			t.Errorf("exitDetail(%d) = %q, want %q", code, got, want)
+		}
 	}
 }
 
