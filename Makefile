@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test alloc-budgets perfbench-test vet lint lint-fix lint-sarif race store-race cover fuzz-smoke service-smoke front-smoke monitor-smoke bench-hotpath bench-synth bench-monitor synth-smoke generate generate-check hooks ci
+.PHONY: build test alloc-budgets perfbench-test vet lint lint-fix lint-sarif race store-race front-repeat cover fuzz-smoke service-smoke front-smoke monitor-smoke bench-hotpath bench-synth bench-monitor synth-smoke generate generate-check hooks ci
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,13 @@ alloc-budgets:
 # released, so an interleaving bug shows only in some schedules.
 store-race:
 	$(GO) test -race -count=10 -run 'Compact|Concurrent|Background|Crash' ./internal/store
+
+# front-repeat repeats the front's campaign-recovery tests under the race
+# detector: a backend's event ring wrapping while the front is cut off,
+# and a backend restarting mid-campaign, each race a live stream against
+# the lab, so a timing bug shows only in some runs.
+front-repeat:
+	$(GO) test -race -count=20 -run 'RingWrap|RestartMidCampaign' ./internal/front
 
 # cover enforces statement-coverage floors on the packages whose failure
 # modes are subtle: the snapshot pool (winsim, analysis) and the durable
@@ -156,4 +163,4 @@ hooks:
 
 # ci mirrors .github/workflows/ci.yml: the tier-1 verify plus the static
 # checks. `make ci` green locally means CI is green.
-ci: build vet lint generate-check race alloc-budgets store-race perfbench-test cover fuzz-smoke synth-smoke bench-hotpath bench-synth bench-monitor service-smoke front-smoke monitor-smoke
+ci: build vet lint generate-check race alloc-budgets store-race front-repeat perfbench-test cover fuzz-smoke synth-smoke bench-hotpath bench-synth bench-monitor service-smoke front-smoke monitor-smoke

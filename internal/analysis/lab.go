@@ -199,11 +199,13 @@ func agentProcess(m *winsim.Machine) (*winsim.Process, error) {
 // built by walking actual parent links. ProcessTable.All returns creation
 // order and parents are always created before their children, so one pass
 // suffices.
-func subtreeDescendants(m *winsim.Machine, rootPID int) map[int]bool {
-	desc := map[int]bool{rootPID: true}
+func subtreeDescendants(m *winsim.Machine, rootPID int) *winsim.PIDMap[bool] {
+	desc := new(winsim.PIDMap[bool])
+	desc.Bind(m.Procs)
+	desc.Set(rootPID, true)
 	for _, p := range m.Procs.All() {
-		if desc[p.ParentPID] {
-			desc[p.PID] = true
+		if desc.Get(p.ParentPID) {
+			desc.Set(p.PID, true)
 		}
 	}
 	return desc
@@ -216,7 +218,7 @@ func subtreeDescendants(m *winsim.Machine, rootPID int) map[int]bool {
 // file/registry diff the verdict rests on.
 func subtreeSummary(m *winsim.Machine, rootPID int) trace.Summary {
 	desc := subtreeDescendants(m, rootPID)
-	return m.Tracer.Summarize(func(e trace.Event) bool { return desc[e.PID] })
+	return m.Tracer.Summarize(func(e trace.Event) bool { return desc.Get(e.PID) })
 }
 
 // SampleResult is the paired-execution outcome for one sample.

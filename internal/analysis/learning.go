@@ -122,5 +122,5 @@ func rawEvents(prepare func(*winsim.Machine, *winsim.Process), s *malware.Specim
 	}
 	sys.Run(ObservationWindow)
 	desc := subtreeDescendants(m, root.PID)
-	return m.Tracer.Filter(func(e trace.Event) bool { return desc[e.PID] }), nil
+	return m.Tracer.Filter(func(e trace.Event) bool { return desc.Get(e.PID) }), nil
 }

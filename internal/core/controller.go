@@ -26,7 +26,7 @@ type Controller struct {
 
 	sys      *winapi.System
 	proc     *winsim.Process
-	injected map[int]bool
+	injected winsim.PIDMap[bool]
 	// followFailures records descendants whose follow-injection failed.
 	// The CreateProcess notification callback has no error channel (as in
 	// reality), so failures are recorded and alerted instead of lost.
@@ -40,11 +40,11 @@ type Controller struct {
 // half-protected controller.
 func Deploy(sys *winapi.System, engine *Engine) (*Controller, error) {
 	ctrl := &Controller{
-		Engine:   engine,
-		Session:  NewSession(),
-		sys:      sys,
-		injected: make(map[int]bool),
+		Engine:  engine,
+		Session: NewSession(),
+		sys:     sys,
 	}
+	ctrl.injected.Bind(sys.M.Procs)
 
 	proc := sys.M.Procs.Create(ControllerImage, "scarecrow.exe --service", 4, sys.M.Clock.Now())
 	proc.State = winsim.ProcessRunning
@@ -75,7 +75,7 @@ func Deploy(sys *winapi.System, engine *Engine) (*Controller, error) {
 			if prev != nil {
 				prev(parent, child)
 			}
-			if ctrl.injected[parent.PID] {
+			if ctrl.injected.Get(parent.PID) {
 				if err := ctrl.inject(child); err != nil {
 					ctrl.followFailures = append(ctrl.followFailures, child.Image)
 					ctrl.Session.Alert(fmt.Sprintf("follow-injection into %s (PID %d) failed: %v",
@@ -118,25 +118,25 @@ func (ct *Controller) Watch(p *winsim.Process) error {
 // and is returned rather than panicking: one bad target must not take the
 // controller — or a whole corpus sweep — down with it.
 func (ct *Controller) inject(p *winsim.Process) error {
-	if ct.injected[p.PID] {
+	if ct.injected.Get(p.PID) {
 		return nil
 	}
 	if err := ct.Engine.InstallHooks(ct.sys, p, ct.Session); err != nil {
 		return fmt.Errorf("core: hook installation in PID %d failed: %w", p.PID, err)
 	}
-	ct.injected[p.PID] = true
+	ct.injected.Set(p.PID, true)
 	return nil
 }
 
 // Injected reports whether a PID carries scarecrow.dll.
-func (ct *Controller) Injected(pid int) bool { return ct.injected[pid] }
+func (ct *Controller) Injected(pid int) bool { return ct.injected.Get(pid) }
 
 // FollowFailures returns the images of descendants whose follow-injection
 // failed (also surfaced as session alerts).
 func (ct *Controller) FollowFailures() []string { return ct.followFailures }
 
 // InjectedCount returns how many processes carry scarecrow.dll.
-func (ct *Controller) InjectedCount() int { return len(ct.injected) }
+func (ct *Controller) InjectedCount() int { return ct.injected.Len() }
 
 // Process returns the controller's own process object.
 func (ct *Controller) Process() *winsim.Process { return ct.proc }

@@ -54,8 +54,9 @@ type Engine struct {
 
 	// injectedAt records each process's injection time, read by the
 	// GetTickCount hook so the deceptive tick stream starts near "just
-	// booted" for that process.
-	injectedAt map[int]time.Duration
+	// booted" for that process. It binds to the process table of the
+	// first system the engine injects into.
+	injectedAt winsim.PIDMap[time.Duration]
 }
 
 // NewEngine builds an engine over a resource database and configuration.
@@ -65,7 +66,6 @@ func NewEngine(db *DB, cfg Config) *Engine {
 		Config:          cfg,
 		WearTear:        DefaultWearTearFakes(),
 		decoyImageByPID: make(map[int]string),
-		injectedAt:      make(map[int]time.Duration),
 	}
 	for i, img := range db.DeceptiveProcesses() {
 		pid := 90000 + 4*i
@@ -91,9 +91,10 @@ func (e *Engine) InstallHooks(sys *winapi.System, proc *winsim.Process, session 
 		e.tableSession = session
 	}
 	proc.LoadModule("scarecrow.dll")
-	e.injectedAt[proc.PID] = sys.M.Clock.Now()
+	e.injectedAt.Bind(sys.M.Procs)
+	e.injectedAt.Set(proc.PID, sys.M.Clock.Now())
 	if err := sys.InstallHookTable(proc.PID, e.table); err != nil {
-		delete(e.injectedAt, proc.PID)
+		e.injectedAt.Set(proc.PID, 0)
 		return fmt.Errorf("core: installing hook table: %w", err)
 	}
 	return nil
@@ -132,8 +133,9 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 			path := call.StrArg(0)
 			if vendor, ok := e.DB.MatchRegKey(path); ok && allowed(vendor) {
 				report(c, call.Name, CategoryRegistry, vendor, path)
-				return winapi.Result{Status: winapi.StatusSuccess,
-					KeyInfo: winapi.KeyInfo{SubkeyCount: 2, ValueCount: 3}}
+				p := call.Payload()
+				p.KeyInfo = winapi.KeyInfo{SubkeyCount: 2, ValueCount: 3}
+				return winapi.Result{Status: winapi.StatusSuccess, Ext: p}
 			}
 			return call.Original()
 		},
@@ -142,17 +144,18 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 			// VirtualBox MAC and one VMware MAC, so MAC-prefix probes of
 			// either vendor see their marker.
 			genuine := call.Original()
+			p := call.Edit(&genuine)
 			report(c, call.Name, CategoryHardware, VendorVBox, "adapter-macs")
 			if e.Config.ProfileIsolation {
 				switch {
 				case allowed(VendorVBox):
-					genuine.Adapters = append(genuine.Adapters, winapi.AdapterInfo{MAC: "08:00:27:de:ad:01"})
+					p.Adapters = append(p.Adapters, winapi.AdapterInfo{MAC: "08:00:27:de:ad:01"})
 				case allowed(VendorVMware):
-					genuine.Adapters = append(genuine.Adapters, winapi.AdapterInfo{MAC: "00:50:56:de:ad:02"})
+					p.Adapters = append(p.Adapters, winapi.AdapterInfo{MAC: "00:50:56:de:ad:02"})
 				}
 				return genuine
 			}
-			genuine.Adapters = append(genuine.Adapters,
+			p.Adapters = append(p.Adapters,
 				winapi.AdapterInfo{MAC: "08:00:27:de:ad:01"},
 				winapi.AdapterInfo{MAC: "00:50:56:de:ad:02"})
 			return genuine
@@ -173,8 +176,9 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 			pattern := call.StrArg(0)
 			if vendor, ok := e.DB.MatchFile(strings.TrimSuffix(pattern, `\*`)); ok && allowed(vendor) {
 				report(c, call.Name, CategoryFile, vendor, pattern)
-				return winapi.Result{Status: winapi.StatusSuccess,
-					Strs: []string{"analyzer.py", "dump.pcap", "hooks.log"}}
+				p := call.Payload()
+				p.Strs = []string{"analyzer.py", "dump.pcap", "hooks.log"}
+				return winapi.Result{Status: winapi.StatusSuccess, Ext: p}
 			}
 			return call.Original()
 		},
@@ -189,9 +193,9 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 				return call.Original()
 			}
 			report(c, call.Name, CategoryHardware, VendorGeneric, "disk-size")
-			return winapi.Result{Status: winapi.StatusSuccess, Disk: winapi.DiskSpace{
-				TotalBytes: e.DB.HW.DiskTotalBytes, FreeBytes: e.DB.HW.DiskFreeBytes,
-			}}
+			p := call.Payload()
+			p.Disk = winapi.DiskSpace{TotalBytes: e.DB.HW.DiskTotalBytes, FreeBytes: e.DB.HW.DiskFreeBytes}
+			return winapi.Result{Status: winapi.StatusSuccess, Ext: p}
 		},
 		"GetSystemInfo": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			if !e.Config.FakeHardware {
@@ -199,7 +203,7 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 			}
 			report(c, call.Name, CategoryHardware, VendorGeneric, "cpu-cores")
 			genuine := call.Original()
-			genuine.SysInfo.NumberOfProcessors = e.DB.HW.NumCores
+			call.Edit(&genuine).SysInfo.NumberOfProcessors = e.DB.HW.NumCores
 			return genuine
 		},
 		"GlobalMemoryStatusEx": func(c *winapi.Context, call *winapi.Call) winapi.Result {
@@ -207,9 +211,9 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 				return call.Original()
 			}
 			report(c, call.Name, CategoryHardware, VendorGeneric, "memory-size")
-			return winapi.Result{Status: winapi.StatusSuccess, Mem: winapi.MemoryStatus{
-				TotalPhysBytes: e.DB.HW.RAMBytes, AvailPhysBytes: e.DB.HW.RAMBytes / 2,
-			}}
+			p := call.Payload()
+			p.Mem = winapi.MemoryStatus{TotalPhysBytes: e.DB.HW.RAMBytes, AvailPhysBytes: e.DB.HW.RAMBytes / 2}
+			return winapi.Result{Status: winapi.StatusSuccess, Ext: p}
 		},
 		"GetComputerName": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			report(c, call.Name, CategoryHardware, VendorGeneric, "computer-name")
@@ -245,7 +249,8 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 				return genuine
 			}
 			report(c, call.Name, CategoryProcess, VendorDebugger, "process-list")
-			genuine.Entries = append(genuine.Entries, e.decoys...)
+			p := call.Edit(&genuine)
+			p.Entries = append(p.Entries, e.decoys...)
 			return genuine
 		},
 		"CreateProcess": func(c *winapi.Context, call *winapi.Call) winapi.Result {
@@ -273,7 +278,7 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 		},
 		"GetTickCount": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			report(c, call.Name, CategoryHardware, VendorGeneric, "uptime")
-			elapsed := c.M.Clock.Now() - e.injectedAt[c.P.PID]
+			elapsed := c.M.Clock.Now() - e.injectedAt.Get(c.P.PID)
 			return winapi.Result{Status: winapi.StatusSuccess,
 				Num: e.Config.deceptiveTick(e.DB.HW.TickBaseMillis, elapsed)}
 		},
@@ -285,8 +290,9 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 				}
 				if vendor, ok := e.DB.MatchWindow(probe); ok && allowed(vendor) && enabled(CategoryWindow) {
 					report(c, call.Name, CategoryWindow, vendor, probe)
-					return winapi.Result{Status: winapi.StatusSuccess,
-						Window: winsim.Window{Class: class, Title: title, PID: 90400}}
+					p := call.Payload()
+					p.Window = winsim.Window{Class: class, Title: title, PID: 90400}
+					return winapi.Result{Status: winapi.StatusSuccess, Ext: p}
 				}
 			}
 			return call.Original()
@@ -379,11 +385,15 @@ func (e *Engine) handleRegQueryValue(c *winapi.Context, call *winapi.Call,
 	key, name := call.StrArg(0), call.StrArg(1)
 	if fake, vendor, ok := e.DB.MatchRegValue(key, name); ok && allowed(vendor) {
 		report(c, call.Name, CategoryRegistry, vendor, key+`\`+name)
-		return winapi.Result{Status: winapi.StatusSuccess, Value: winsim.StringValue(fake)}
+		p := call.Payload()
+		p.Value = winsim.StringValue(fake)
+		return winapi.Result{Status: winapi.StatusSuccess, Ext: p}
 	}
 	if vendor, ok := e.DB.MatchRegKey(key); ok && allowed(vendor) {
 		report(c, call.Name, CategoryRegistry, vendor, key+`\`+name)
-		return winapi.Result{Status: winapi.StatusSuccess, Value: winsim.StringValue("1")}
+		p := call.Payload()
+		p.Value = winsim.StringValue("1")
+		return winapi.Result{Status: winapi.StatusSuccess, Ext: p}
 	}
 	return call.Original()
 }
@@ -397,8 +407,9 @@ func (e *Engine) handleFileProbe(c *winapi.Context, call *winapi.Call,
 	path := call.StrArg(0)
 	if vendor, ok := e.DB.MatchFile(path); ok && allowed(vendor) {
 		report(c, call.Name, CategoryFile, vendor, path)
-		return winapi.Result{Status: winapi.StatusSuccess,
-			FileInfo: winsim.FileInfo{Path: path, Kind: winsim.FileRegular, Size: 200 << 10}}
+		p := call.Payload()
+		p.FileInfo = winsim.FileInfo{Path: path, Kind: winsim.FileRegular, Size: 200 << 10}
+		return winapi.Result{Status: winapi.StatusSuccess, Ext: p}
 	}
 	return call.Original()
 }
@@ -414,8 +425,8 @@ func (e *Engine) handleSpawn(c *winapi.Context, call *winapi.Call, session *Sess
 		session.Alert(fmt.Sprintf("self-spawn loop: %s created %d times by pid %d",
 			image, count, c.P.PID))
 		if e.Config.Mitigation == MitigationKillOnFork {
-			if genuine.Proc != nil {
-				c.M.ExitProcess(genuine.Proc, 137)
+			if genuine.Ext != nil && genuine.Ext.Proc != nil {
+				c.M.ExitProcess(genuine.Ext.Proc, 137)
 			}
 			// Unwind the forking process like ExitProcess would.
 			c.ExitProcess(137)

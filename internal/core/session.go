@@ -63,13 +63,14 @@ func (s *Session) Report(r TriggerReport) {
 	s.triggers = append(s.triggers, r)
 }
 
-// Triggers returns all reports in order.
+// Triggers returns all reports so far, in order. It hands out the
+// session's own stream rather than a copy: callers must not modify its
+// elements. Reports made later never show in (or write into) the
+// returned slice, and appending to it reallocates.
 func (s *Session) Triggers() []TriggerReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]TriggerReport, len(s.triggers))
-	copy(out, s.triggers)
-	return out
+	return s.triggers[:len(s.triggers):len(s.triggers)]
 }
 
 // FirstTrigger returns the earliest report, matching Table I's "first

@@ -85,8 +85,8 @@ func (e *Engine) hookWearAndTear(t *winapi.HookTable, session *Session) error {
 		"DnsGetCacheDataTable": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			report(c, call.Name, "dnscacheEntries")
 			genuine := call.Original()
-			if len(genuine.Strs) > e.WearTear.DNSCacheEntries {
-				genuine.Strs = genuine.Strs[len(genuine.Strs)-e.WearTear.DNSCacheEntries:]
+			if p := genuine.Ext; p != nil && len(p.Strs) > e.WearTear.DNSCacheEntries {
+				p.Strs = p.Strs[len(p.Strs)-e.WearTear.DNSCacheEntries:]
 			}
 			return genuine
 		},
@@ -94,8 +94,8 @@ func (e *Engine) hookWearAndTear(t *winapi.HookTable, session *Session) error {
 			report(c, call.Name, "sysevt/syssrc")
 			genuine := call.Original()
 			genuine.Num = uint64(e.WearTear.EventTotal)
-			if len(genuine.Strs) > e.WearTear.EventSources {
-				genuine.Strs = genuine.Strs[:e.WearTear.EventSources]
+			if p := genuine.Ext; p != nil && len(p.Strs) > e.WearTear.EventSources {
+				p.Strs = p.Strs[:e.WearTear.EventSources]
 			}
 			return genuine
 		},
@@ -110,13 +110,16 @@ func (e *Engine) hookWearAndTear(t *winapi.HookTable, session *Session) error {
 			path := strings.ToLower(call.StrArg(0))
 			if strings.Contains(path, "userassist") && strings.HasSuffix(path, `\count`) {
 				report(c, call.Name, "usrassistCount")
-				return winapi.Result{Status: winapi.StatusSuccess,
-					KeyInfo: winapi.KeyInfo{ValueCount: e.WearTear.UserAssistEntries}}
+				p := call.Payload()
+				p.KeyInfo = winapi.KeyInfo{ValueCount: e.WearTear.UserAssistEntries}
+				return winapi.Result{Status: winapi.StatusSuccess, Ext: p}
 			}
 			for suffix, info := range fakes {
 				if strings.HasSuffix(path, suffix) {
 					report(c, call.Name, suffix)
-					return winapi.Result{Status: winapi.StatusSuccess, KeyInfo: info}
+					p := call.Payload()
+					p.KeyInfo = info
+					return winapi.Result{Status: winapi.StatusSuccess, Ext: p}
 				}
 			}
 			return call.Original()

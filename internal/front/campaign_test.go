@@ -239,18 +239,21 @@ func TestMergedStreamSnapshotOnGap(t *testing.T) {
 // sweeps the hidden cells in a fresh round, and the merged view stays
 // consistent — every cell exactly once, correct aggregate.
 func TestBackendRingWrapSelfHeals(t *testing.T) {
-	b0 := newTestBackend(t, false, campaign.Options{EventRing: 4})
+	b0, release := newHeldTestBackend(t, campaign.Options{EventRing: 4})
 	f := startFront(t, Options{HealthInterval: time.Hour}, b0)
 	ts := httptest.NewServer(f.Handler())
 	defer ts.Close()
 
-	// Cut the follower's stream as soon as the sub-campaign lands: the
-	// backend sweeps all 16 cells while the front is parked, wrapping
-	// its 4-event ring.
+	// Cut the follower's stream as soon as the sub-campaign lands, while
+	// the backend still holds every cell: it then sweeps all 16 while
+	// the front is parked, wrapping its 4-event ring. Without the hold a
+	// fast backend can finish, and the follower read every event, before
+	// the cut.
 	id, total := launchFront(t, ts, `{"specimens":["kasidet","wannacry"],"seeds":[1,2,3,4,5,6,7,8]}`)
 	waitBackendHasCampaigns(t, b0, 1)
 	b0.swap.setDown()
 	b0.ts.CloseClientConnections()
+	release()
 	waitBackendIdle(t, b0, 1)
 	b0.swap.setUp()
 

@@ -71,11 +71,43 @@ type testBackend struct {
 	srv  *service.Server
 	eng  *campaign.Engine
 	st   *store.Store
+	// hold, when non-nil, keeps every campaign cell from being submitted
+	// until it is closed (see newHeldTestBackend).
+	hold <-chan struct{}
 }
 
 func newTestBackend(t *testing.T, persist bool, engOpts campaign.Options) *testBackend {
 	t.Helper()
-	tb := &testBackend{t: t, swap: &swapHandler{}}
+	return bootTestBackend(t, &testBackend{t: t, swap: &swapHandler{}}, persist, engOpts)
+}
+
+// newHeldTestBackend is a non-persistent newTestBackend whose campaigns
+// submit no cell until release is called, so a test can set the stage
+// (cut a stream, take the backend down) before any verdict exists.
+// Cleanup releases a backend the test left held, so it still drains.
+func newHeldTestBackend(t *testing.T, engOpts campaign.Options) (tb *testBackend, release func()) {
+	t.Helper()
+	hold := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(hold) }) }
+	tb = bootTestBackend(t, &testBackend{t: t, swap: &swapHandler{}, hold: hold}, false, engOpts)
+	t.Cleanup(release) // registered last, so it runs before the drain
+	return tb, release
+}
+
+// heldSubmitter blocks every Submit until hold closes.
+type heldSubmitter struct {
+	campaign.Submitter
+	hold <-chan struct{}
+}
+
+func (h heldSubmitter) Submit(req service.SubmitRequest) (*service.Job, error) {
+	<-h.hold
+	return h.Submitter.Submit(req)
+}
+
+func bootTestBackend(t *testing.T, tb *testBackend, persist bool, engOpts campaign.Options) *testBackend {
+	t.Helper()
 	if persist {
 		tb.dir = t.TempDir()
 	}
@@ -102,7 +134,11 @@ func (tb *testBackend) boot(engOpts campaign.Options) {
 	}
 	srv := service.NewServer(service.Config{Workers: 2, QueueDepth: 32, CacheSize: 256, Store: tb.st})
 	srv.Start()
-	eng := campaign.NewEngine(srv, engOpts)
+	var sub campaign.Submitter = srv
+	if tb.hold != nil {
+		sub = heldSubmitter{Submitter: srv, hold: tb.hold}
+	}
+	eng := campaign.NewEngine(sub, engOpts)
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
 	eng.Register(mux)

@@ -1,8 +1,10 @@
 package winapi
 
 import (
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"scarecrow/internal/winsim"
 )
@@ -59,6 +61,74 @@ func TestDispatchAllocBudget(t *testing.T) {
 	}
 	if sys.depth != 0 {
 		t.Errorf("frame depth %d after dispatch, want 0", sys.depth)
+	}
+}
+
+// A Result travels by value through every layer of the chain, so it must
+// stay small enough to be returned in registers; large or rare
+// out-parameters belong in its Payload.
+func TestResultSize(t *testing.T) {
+	if got := unsafe.Sizeof(Result{}); got > 64 {
+		t.Errorf("winapi.Result is %d bytes, budget is 64", got)
+	}
+}
+
+// A hook that edits the genuine payload in place — rewriting and
+// appending to its adapter and process lists, as the Scarecrow engine
+// does — changes only its own call's answer. The next call at the same
+// frame depth, hooked or not, starts from a fresh genuine payload, and
+// the lists earlier calls returned stay as they were.
+func TestEditedPayloadDoesNotLeak(t *testing.T) {
+	sys, hooked := newTestSystem(t)
+	plain := sys.Context(sys.Launch(`C:\Users\john\plain.exe`, "plain.exe", nil))
+	table := NewHookTable()
+	for _, api := range []string{"GetAdaptersInfo", "CreateToolhelp32Snapshot"} {
+		if err := table.Hook(api, func(c *Context, call *Call) Result {
+			r := call.Original()
+			p := call.Edit(&r)
+			if len(p.Adapters) > 0 {
+				p.Adapters[0].MAC = "rewritten"
+			}
+			if len(p.Entries) > 0 {
+				p.Entries[0].Image = "rewritten.exe"
+			}
+			p.Adapters = append(p.Adapters, AdapterInfo{MAC: "08:00:27:de:ad:01"})
+			p.Entries = append(p.Entries, ProcessEntry{PID: 90000, ParentPID: 4, Image: "decoy.exe"})
+			return r
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.InstallHookTable(hooked.P.PID, table); err != nil {
+		t.Fatal(err)
+	}
+
+	macs, procs := plain.GetAdaptersInfo(), plain.CreateToolhelp32Snapshot()
+	if len(macs) == 0 || len(procs) == 0 {
+		t.Fatalf("genuine lists are empty: %v %v", macs, procs)
+	}
+	wantMACs := append([]AdapterInfo(nil), macs...)
+	wantProcs := append([]ProcessEntry(nil), procs...)
+	for round := 0; round < 3; round++ {
+		gotMACs, gotProcs := hooked.GetAdaptersInfo(), hooked.CreateToolhelp32Snapshot()
+		if len(gotMACs) != len(wantMACs)+1 || gotMACs[0].MAC != "rewritten" {
+			t.Errorf("round %d: hooked GetAdaptersInfo = %v, want the genuine %d adapters rewritten plus one", round, gotMACs, len(wantMACs))
+		}
+		if len(gotProcs) != len(wantProcs)+1 || gotProcs[0].Image != "rewritten.exe" {
+			t.Errorf("round %d: hooked snapshot has %d entries (first %+v), want %d rewritten plus one", round, len(gotProcs), gotProcs[0], len(wantProcs))
+		}
+		if got := plain.GetAdaptersInfo(); !reflect.DeepEqual(got, wantMACs) {
+			t.Errorf("round %d: unhooked GetAdaptersInfo after a hooked one = %v, want %v", round, got, wantMACs)
+		}
+		if got := plain.CreateToolhelp32Snapshot(); !reflect.DeepEqual(got, wantProcs) {
+			t.Errorf("round %d: unhooked snapshot after a hooked one = %v, want %v", round, got, wantProcs)
+		}
+		if got := plain.GetSystemInfo(); got.NumberOfProcessors != sys.M.HW.NumCores {
+			t.Errorf("round %d: GetSystemInfo after an edited payload = %+v", round, got)
+		}
+	}
+	if !reflect.DeepEqual(macs, wantMACs) || !reflect.DeepEqual(procs, wantProcs) {
+		t.Error("later calls rewrote lists an earlier call returned")
 	}
 }
 

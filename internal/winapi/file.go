@@ -36,13 +36,13 @@ func (c *Context) NtCreateFile(path string) Status {
 // friends.
 func (c *Context) NtQueryAttributesFile(path string) (winsim.FileInfo, Status) {
 	r := c.invoke("NtQueryAttributesFile", []arg{strArg(path)}, genuineStatFile)
-	return r.FileInfo, r.Status
+	return r.payload().FileInfo, r.Status
 }
 
 // GetFileAttributes is the Win32-layer existence/metadata probe.
 func (c *Context) GetFileAttributes(path string) (winsim.FileInfo, Status) {
 	r := c.invoke("GetFileAttributes", []arg{strArg(path)}, genuineStatFile)
-	return r.FileInfo, r.Status
+	return r.payload().FileInfo, r.Status
 }
 
 // genuineStatFile looks a path up and reports its metadata.
@@ -56,7 +56,9 @@ func genuineStatFile(c *Context, call *Call) Result {
 	if !ok {
 		return Result{Status: StatusFileNotFound}
 	}
-	return Result{Status: StatusSuccess, FileInfo: info}
+	p := call.Payload()
+	p.FileInfo = info
+	return Result{Status: StatusSuccess, Ext: p}
 }
 
 // genuineOpenFile is genuineStatFile for the open calls, which report
@@ -93,9 +95,11 @@ func (c *Context) ReadFile(path string) ([]byte, Status) {
 		if !ok {
 			return Result{Status: StatusFileNotFound}
 		}
-		return Result{Status: StatusSuccess, Data: data}
+		p := call.Payload()
+		p.Data = data
+		return Result{Status: StatusSuccess, Ext: p}
 	})
-	return r.Data, r.Status
+	return r.payload().Data, r.Status
 }
 
 // DeleteFile removes a file.
@@ -134,9 +138,11 @@ func (c *Context) FindFirstFile(pattern string) ([]string, Status) {
 		if len(names) == 0 {
 			return Result{Status: StatusFileNotFound}
 		}
-		return Result{Status: StatusSuccess, Strs: names}
+		p := call.Payload()
+		p.Strs = names
+		return Result{Status: StatusSuccess, Ext: p}
 	})
-	return r.Strs, r.Status
+	return r.payload().Strs, r.Status
 }
 
 // splitPattern separates a search pattern into its directory and leaf
@@ -196,11 +202,11 @@ func (c *Context) GetDiskFreeSpaceEx(path string) (DiskSpace, Status) {
 		if v == nil {
 			return Result{Status: StatusInvalidParam}
 		}
-		return Result{Status: StatusSuccess, Disk: DiskSpace{
-			TotalBytes: v.TotalBytes, FreeBytes: v.FreeBytes,
-		}}
+		p := call.Payload()
+		p.Disk = DiskSpace{TotalBytes: v.TotalBytes, FreeBytes: v.FreeBytes}
+		return Result{Status: StatusSuccess, Ext: p}
 	})
-	return r.Disk, r.Status
+	return r.payload().Disk, r.Status
 }
 
 // GetVolumeInformation returns the volume serial and filesystem name.
@@ -210,11 +216,11 @@ func (c *Context) GetVolumeInformation(path string) (VolumeInfo, Status) {
 		if v == nil {
 			return Result{Status: StatusInvalidParam}
 		}
-		return Result{Status: StatusSuccess, Vol: VolumeInfo{
-			SerialNumber: v.SerialNumber, FileSystem: "NTFS",
-		}}
+		p := call.Payload()
+		p.Vol = VolumeInfo{SerialNumber: v.SerialNumber, FileSystem: "NTFS"}
+		return Result{Status: StatusSuccess, Ext: p}
 	})
-	return r.Vol, r.Status
+	return r.payload().Vol, r.Status
 }
 
 // GetDriveType reports the drive category; all modeled volumes are fixed

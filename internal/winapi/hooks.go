@@ -120,6 +120,28 @@ type Call struct {
 	kchain  []HookHandler
 	genuine genuineFunc
 	idx     int // combined-chain index of the running handler
+	// payload backs the Ext of results produced on this frame; filled
+	// through Payload, so a rare out-parameter allocates nothing.
+	payload Payload
+}
+
+// Payload clears the frame's payload and returns it for the running
+// handler (or genuine implementation) to fill and return as its Result's
+// Ext. It lives in the reused frame, so it is valid exactly as long as
+// call is, and the next call at the same depth overwrites it.
+func (call *Call) Payload() *Payload {
+	call.payload = Payload{}
+	return &call.payload
+}
+
+// Edit returns the payload of r — a result from further down the chain —
+// for a hook to modify in place before passing r on, attaching the frame's
+// cleared payload first when r carries none.
+func (call *Call) Edit(r *Result) *Payload {
+	if r.Ext == nil {
+		r.Ext = call.Payload()
+	}
+	return r.Ext
 }
 
 // Original invokes the rest of the hook chain and finally the genuine API,

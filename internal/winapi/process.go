@@ -19,7 +19,7 @@ type ProcessEntry struct {
 // returned process handle is the child's kernel object.
 func (c *Context) CreateProcess(image, cmdline string) (*winsim.Process, Status) {
 	r := c.invoke("CreateProcess", []arg{strArg(image), strArg(cmdline)}, genuineLaunch)
-	return r.Proc, r.Status
+	return r.payload().Proc, r.Status
 }
 
 // ShellExecuteExW launches a process through the shell; behaviourally
@@ -27,12 +27,14 @@ func (c *Context) CreateProcess(image, cmdline string) (*winsim.Process, Status)
 // (stock Cuckoo hooks it — Table II's lone Hook trigger without Scarecrow).
 func (c *Context) ShellExecuteExW(image, cmdline string) (*winsim.Process, Status) {
 	r := c.invoke("ShellExecuteExW", []arg{strArg(image), strArg(cmdline)}, genuineLaunch)
-	return r.Proc, r.Status
+	return r.payload().Proc, r.Status
 }
 
 func genuineLaunch(c *Context, call *Call) Result {
 	child := c.sys.Launch(call.StrArg(0), call.StrArg(1), c.P)
-	return Result{Status: StatusSuccess, Proc: child}
+	p := call.Payload()
+	p.Proc = child
+	return Result{Status: StatusSuccess, Ext: p}
 }
 
 // ExitProcess terminates the calling process; it does not return.
@@ -85,8 +87,10 @@ func (c *Context) CreateToolhelp32Snapshot() []ProcessEntry {
 				PID: p.PID, ParentPID: p.ParentPID, Image: p.ImageBase(),
 			})
 		}
-		return Result{Status: StatusSuccess, Entries: entries}
-	}).Entries
+		p := call.Payload()
+		p.Entries = entries
+		return Result{Status: StatusSuccess, Ext: p}
+	}).payload().Entries
 }
 
 // GetCurrentProcessId returns the caller's PID.

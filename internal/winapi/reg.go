@@ -42,13 +42,13 @@ func genuineOpenKey(c *Context, call *Call) Result {
 // RegQueryValueEx reads a value under a key.
 func (c *Context) RegQueryValueEx(path, name string) (winsim.Value, Status) {
 	r := c.invoke("RegQueryValueEx", []arg{strArg(path), strArg(name)}, genuineQueryValue)
-	return r.Value, r.Status
+	return r.payload().Value, r.Status
 }
 
 // NtQueryValueKey is the native-layer value read.
 func (c *Context) NtQueryValueKey(path, name string) (winsim.Value, Status) {
 	r := c.invoke("NtQueryValueKey", []arg{strArg(path), strArg(name)}, genuineQueryValue)
-	return r.Value, r.Status
+	return r.payload().Value, r.Status
 }
 
 func genuineQueryValue(c *Context, call *Call) Result {
@@ -61,7 +61,9 @@ func genuineQueryValue(c *Context, call *Call) Result {
 	if !ok {
 		return Result{Status: StatusFileNotFound}
 	}
-	return Result{Status: StatusSuccess, Value: v}
+	p := call.Payload()
+	p.Value = v
+	return Result{Status: StatusSuccess, Ext: p}
 }
 
 // NtQueryKey returns subkey/value counts for a key.
@@ -76,11 +78,11 @@ func (c *Context) NtQueryKey(path string) (KeyInfo, Status) {
 		if !ok {
 			return Result{Status: StatusFileNotFound}
 		}
-		return Result{Status: StatusSuccess, KeyInfo: KeyInfo{
-			SubkeyCount: k.SubkeyCount(), ValueCount: k.ValueCount(),
-		}}
+		p := call.Payload()
+		p.KeyInfo = KeyInfo{SubkeyCount: k.SubkeyCount(), ValueCount: k.ValueCount()}
+		return Result{Status: StatusSuccess, Ext: p}
 	})
-	return r.KeyInfo, r.Status
+	return r.payload().KeyInfo, r.Status
 }
 
 // RegEnumKeyEx returns the name of the index-th subkey.

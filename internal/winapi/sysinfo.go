@@ -31,11 +31,13 @@ type AdapterInfo struct {
 // GetSystemInfo reports processor topology.
 func (c *Context) GetSystemInfo() SystemInfo {
 	return c.invoke("GetSystemInfo", nil, func(c *Context, call *Call) Result {
-		return Result{Status: StatusSuccess, SysInfo: SystemInfo{
+		p := call.Payload()
+		p.SysInfo = SystemInfo{
 			NumberOfProcessors: c.M.HW.NumCores,
 			ProcessorBrand:     c.M.HW.CPUBrand,
-		}}
-	}).SysInfo
+		}
+		return Result{Status: StatusSuccess, Ext: p}
+	}).payload().SysInfo
 }
 
 // GlobalMemoryStatusEx reports physical memory. Table I's sample 9fac72a
@@ -43,10 +45,10 @@ func (c *Context) GetSystemInfo() SystemInfo {
 func (c *Context) GlobalMemoryStatusEx() MemoryStatus {
 	return c.invoke("GlobalMemoryStatusEx", nil, func(c *Context, call *Call) Result {
 		total := c.M.HW.RAMBytes
-		return Result{Status: StatusSuccess, Mem: MemoryStatus{
-			TotalPhysBytes: total, AvailPhysBytes: total / 2,
-		}}
-	}).Mem
+		p := call.Payload()
+		p.Mem = MemoryStatus{TotalPhysBytes: total, AvailPhysBytes: total / 2}
+		return Result{Status: StatusSuccess, Ext: p}
+	}).payload().Mem
 }
 
 // GetComputerName returns the host name.
@@ -66,10 +68,10 @@ func (c *Context) GetUserName() string {
 // GetVersionEx returns the OS version.
 func (c *Context) GetVersionEx() OSVersionInfo {
 	return c.invoke("GetVersionEx", nil, func(c *Context, call *Call) Result {
-		return Result{Status: StatusSuccess, Ver: OSVersionInfo{
-			Major: c.M.OS.Major, Minor: c.M.OS.Minor, Build: c.M.OS.Build,
-		}}
-	}).Ver
+		p := call.Payload()
+		p.Ver = OSVersionInfo{Major: c.M.OS.Major, Minor: c.M.OS.Minor, Build: c.M.OS.Build}
+		return Result{Status: StatusSuccess, Ext: p}
+	}).payload().Ver
 }
 
 // IsNativeVhdBoot reports whether the system booted from a VHD. The API
@@ -127,8 +129,10 @@ func (c *Context) GetAdaptersInfo() []AdapterInfo {
 		for _, mac := range c.M.HW.MACs {
 			adapters = append(adapters, AdapterInfo{MAC: mac})
 		}
-		return Result{Status: StatusSuccess, Adapters: adapters}
-	}).Adapters
+		p := call.Payload()
+		p.Adapters = adapters
+		return Result{Status: StatusSuccess, Ext: p}
+	}).payload().Adapters
 }
 
 // PackCursorPos packs a cursor position into the Num field of a Result,
@@ -151,13 +155,12 @@ func (c *Context) GetCursorPos() (x, y int) {
 // are the sysevt/syssrc wear-and-tear artifacts.
 func (c *Context) EvtNext(offset, max int) ([]string, int) {
 	r := c.invoke("EvtNext", []arg{intArg(offset), intArg(max)}, func(c *Context, call *Call) Result {
-		return Result{
-			Status: StatusSuccess,
-			Strs:   c.M.EventLog.Sources(),
-			Num:    uint64(c.M.EventLog.Count()),
-		}
+		p := call.Payload()
+		p.Strs = c.M.EventLog.Sources()
+		return Result{Status: StatusSuccess, Num: uint64(c.M.EventLog.Count()), Ext: p}
 	})
 	total := int(r.Num)
+	sources := r.payload().Strs
 	if offset >= total {
 		return nil, total
 	}
@@ -169,10 +172,10 @@ func (c *Context) EvtNext(offset, max int) ([]string, int) {
 	}
 	page := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		if len(r.Strs) == 0 {
+		if len(sources) == 0 {
 			break
 		}
-		page = append(page, r.Strs[(offset+i)%len(r.Strs)])
+		page = append(page, sources[(offset+i)%len(sources)])
 	}
 	return page, total
 }
@@ -181,8 +184,10 @@ func (c *Context) EvtNext(offset, max int) ([]string, int) {
 // dnscacheEntries wear-and-tear artifact).
 func (c *Context) DnsGetCacheDataTable() []string {
 	return c.invoke("DnsGetCacheDataTable", nil, func(c *Context, call *Call) Result {
-		return Result{Status: StatusSuccess, Strs: c.M.Net.Cache.Entries()}
-	}).Strs
+		p := call.Payload()
+		p.Strs = c.M.Net.Cache.Entries()
+		return Result{Status: StatusSuccess, Ext: p}
+	}).payload().Strs
 }
 
 // WMIQuery answers a WMI identity query of the form class.property against

@@ -55,7 +55,7 @@ type System struct {
 	M *winsim.Machine
 
 	programs map[string]Program // normalized image path -> body
-	states   map[int]*procState
+	states   winsim.PIDMap[*procState]
 	// queue holds pending executions; queue[head:] are still to run.
 	// Run pops by advancing head and rewinds both to zero whenever the
 	// queue drains, so a self-spawn loop's one-at-a-time Launch appends
@@ -108,9 +108,9 @@ func NewSystem(m *winsim.Machine) *System {
 	s := &System{
 		M:            m,
 		programs:     make(map[string]Program),
-		states:       make(map[int]*procState),
 		MaxProcesses: 20000,
 	}
+	s.states.Bind(m.Procs)
 	if len(m.MonitorHookedAPIs) > 0 {
 		s.monitor = NewHookTable()
 		for _, api := range m.MonitorHookedAPIs {
@@ -123,10 +123,10 @@ func NewSystem(m *winsim.Machine) *System {
 }
 
 func (s *System) stateFor(pid int) *procState {
-	st, ok := s.states[pid]
-	if !ok {
+	st := s.states.Get(pid)
+	if st == nil {
 		st = newProcState()
-		s.states[pid] = st
+		s.states.Set(pid, st)
 		// The environment's own monitor hooks every analyzed process.
 		if s.monitor != nil {
 			st.tables = append(st.tables, s.monitor)

@@ -19,14 +19,18 @@ func (c *Context) FindWindow(class, title string) (winsim.Window, Status) {
 		if !ok {
 			return Result{Status: StatusNotFound}
 		}
-		return Result{Status: StatusSuccess, Window: w}
+		p := call.Payload()
+		p.Window = w
+		return Result{Status: StatusSuccess, Ext: p}
 	})
-	return r.Window, r.Status
+	return r.payload().Window, r.Status
 }
 
 // EnumWindows returns the class names of all top-level windows.
 func (c *Context) EnumWindows() []string {
 	return c.invoke("EnumWindows", nil, func(c *Context, call *Call) Result {
-		return Result{Status: StatusSuccess, Strs: c.M.Windows.Classes()}
-	}).Strs
+		p := call.Payload()
+		p.Strs = c.M.Windows.Classes()
+		return Result{Status: StatusSuccess, Ext: p}
+	}).payload().Strs
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // ProcessState describes where a process is in its lifecycle at the end of
@@ -73,15 +74,41 @@ func (p *Process) ImageBase() string {
 }
 
 // HasModule reports whether a module with the given base name is loaded
-// (case-insensitive).
+// (case-insensitive: the names are equal under strings.ToLower).
 func (p *Process) HasModule(name string) bool {
-	want := strings.ToLower(name)
 	for _, m := range p.Modules {
-		if strings.ToLower(m) == want {
+		if equalLower(m, name) {
 			return true
 		}
 	}
 	return false
+}
+
+// equalLower reports strings.ToLower(a) == strings.ToLower(b). It folds
+// ASCII bytes in place and lowers only from the first non-ASCII byte on,
+// so ASCII names compare without allocating.
+func equalLower(a, b string) bool {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		ca, cb := a[i], b[i]
+		if ca|cb >= utf8.RuneSelf {
+			// ToLower maps rune by rune, so the equal ASCII prefix can
+			// be dropped.
+			return strings.ToLower(a[i:]) == strings.ToLower(b[i:])
+		}
+		if 'A' <= ca && ca <= 'Z' {
+			ca += 'a' - 'A'
+		}
+		if 'A' <= cb && cb <= 'Z' {
+			cb += 'a' - 'A'
+		}
+		if ca != cb {
+			return false
+		}
+	}
+	// One name is a prefix of the other; a non-empty tail never lowers
+	// to "".
+	return len(a) == len(b)
 }
 
 // LoadModule appends a module if not already present and reports whether it
@@ -94,25 +121,34 @@ func (p *Process) LoadModule(name string) bool {
 	return true
 }
 
-// ProcessTable is the machine's process list.
+// ProcessTable is the machine's process list. PIDs start at 4 (the System
+// process) and advance by 4 in creation order, matching Windows
+// allocation granularity, so the process with PID p sits at procs[p/4-1]
+// (see slot).
 type ProcessTable struct {
-	nextPID int
-	procs   map[int]*Process
-	order   []int          // creation order
-	faults  *FaultInjector // nil unless the machine is armed (faults.go)
+	procs  []*Process     // creation order
+	faults *FaultInjector // nil unless the machine is armed (faults.go)
 }
 
-// NewProcessTable returns an empty table. PIDs start at 4 (the System
-// process) and advance by 4, matching Windows allocation granularity.
+// NewProcessTable returns an empty table.
 func NewProcessTable() *ProcessTable {
-	return &ProcessTable{nextPID: 4, procs: make(map[int]*Process)}
+	return &ProcessTable{}
+}
+
+// slot returns the dense index (pid/4-1) of a PID this table minted; ok is
+// false for every PID it never minted.
+func (t *ProcessTable) slot(pid int) (i int, ok bool) {
+	if pid <= 0 || pid%4 != 0 || pid/4 > len(t.procs) {
+		return 0, false
+	}
+	return pid/4 - 1, true
 }
 
 // Create registers a new process and returns it.
 func (t *ProcessTable) Create(image, cmdline string, parentPID int, start time.Duration) *Process {
 	t.faults.procOp()
 	p := &Process{
-		PID:         t.nextPID,
+		PID:         4 * (len(t.procs) + 1),
 		ParentPID:   parentPID,
 		Image:       image,
 		CommandLine: cmdline,
@@ -122,32 +158,29 @@ func (t *ProcessTable) Create(image, cmdline string, parentPID int, start time.D
 		// scarecrow.dll next, and that load must not reallocate.
 		Modules: append(make([]string, 0, 3), "ntdll.dll", "kernel32.dll"),
 	}
-	t.nextPID += 4
-	t.procs[p.PID] = p
-	t.order = append(t.order, p.PID)
+	t.procs = append(t.procs, p)
 	return p
 }
 
 // Get returns the process with the given PID.
 func (t *ProcessTable) Get(pid int) (*Process, bool) {
-	p, ok := t.procs[pid]
-	return p, ok
+	i, ok := t.slot(pid)
+	if !ok {
+		return nil, false
+	}
+	return t.procs[i], true
 }
 
 // All returns all processes (including exited ones) in creation order.
 func (t *ProcessTable) All() []*Process {
-	out := make([]*Process, 0, len(t.order))
-	for _, pid := range t.order {
-		out = append(out, t.procs[pid])
-	}
-	return out
+	return append([]*Process(nil), t.procs...)
 }
 
 // Running returns the processes not yet exited, in creation order.
 func (t *ProcessTable) Running() []*Process {
 	var out []*Process
-	for _, pid := range t.order {
-		if p := t.procs[pid]; p.State != ProcessExited {
+	for _, p := range t.procs {
+		if p.State != ProcessExited {
 			out = append(out, p)
 		}
 	}

@@ -187,18 +187,12 @@ func (fs *FileSystem) clone(fi *FaultInjector) *FileSystem {
 // an append on either side then reallocates instead of writing into the
 // shared backing array (elements below the cap are never mutated).
 func (t *ProcessTable) clone(fi *FaultInjector) *ProcessTable {
-	nt := &ProcessTable{
-		nextPID: t.nextPID,
-		procs:   make(map[int]*Process, len(t.procs)),
-		order:   append([]int(nil), t.order...),
-		faults:  fi,
-	}
-	arena := make([]Process, len(t.order))
-	for i, pid := range t.order {
-		p := t.procs[pid]
+	nt := &ProcessTable{procs: make([]*Process, len(t.procs)), faults: fi}
+	arena := make([]Process, len(t.procs))
+	for i, p := range t.procs {
 		arena[i] = *p
 		arena[i].Modules = p.Modules[:len(p.Modules):len(p.Modules)]
-		nt.procs[pid] = &arena[i]
+		nt.procs[i] = &arena[i]
 	}
 	return nt
 }
@@ -225,7 +219,7 @@ var snapshotSpec = map[string][]string{
 	"fsNode":        {"info", "data"},
 	"FileInfo":      {"Path", "Kind", "Size"},
 	"Volume":        {"Letter", "TotalBytes", "FreeBytes", "SerialNumber"},
-	"ProcessTable":  {"nextPID", "procs", "order", "faults"},
+	"ProcessTable":  {"procs", "faults"},
 	"Process":       {"PID", "ParentPID", "Image", "CommandLine", "PEB", "Modules", "State", "ExitCode", "StartTime", "ExitTime", "Protected", "SpawnDepth"},
 	"PEB":           {"BeingDebugged", "NumberOfProcessors", "ImageBaseAddress"},
 	"WindowManager": {"windows"},
