@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test alloc-budgets perfbench-test vet lint lint-fix lint-sarif race store-race front-repeat cover fuzz-smoke service-smoke front-smoke monitor-smoke bench-hotpath bench-synth bench-monitor synth-smoke generate generate-check hooks ci
+.PHONY: build test alloc-budgets perfbench-test vet lint race store-race front-repeat cover fuzz-smoke service-smoke front-smoke monitor-smoke bench-hotpath bench-synth bench-monitor synth-smoke generate generate-check hooks ci
 
 build:
 	$(GO) build ./...
@@ -25,16 +25,6 @@ vet:
 # and deterministic map iteration on every ordered output path.
 lint:
 	$(GO) run ./cmd/scarelint ./...
-
-# lint-fix applies scarelint's suggested fixes (statusfix): explicit
-# `_ =` discards for dropped Status results and collect-sort-iterate
-# rewrites for order-leaking map ranges. Idempotent and gofmt-clean.
-lint-fix:
-	$(GO) run ./cmd/scarelint -fix ./...
-
-# lint-sarif writes the SARIF 2.1.0 log CI uploads as an artifact.
-lint-sarif:
-	$(GO) run ./cmd/scarelint -sarif ./... > scarelint.sarif
 
 race:
 	$(GO) test -race ./...

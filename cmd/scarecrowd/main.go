@@ -109,7 +109,7 @@ func run(opts options, ready chan<- string) error {
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
 	eng.Register(mux)
-	httpSrv := &http.Server{Handler: mux}
+	httpSrv := service.NewHTTPServer(mux)
 
 	persisted := "persistence off"
 	if st != nil {

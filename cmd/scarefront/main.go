@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -35,6 +34,7 @@ import (
 	"time"
 
 	"scarecrow/internal/front"
+	"scarecrow/internal/service"
 )
 
 // options collects the front's flag-configurable knobs.
@@ -88,7 +88,7 @@ func run(opts options, ready chan<- string) error {
 	if err != nil {
 		return fmt.Errorf("listening on %s: %w", opts.Addr, err)
 	}
-	httpSrv := &http.Server{Handler: f.Handler()}
+	httpSrv := service.NewHTTPServer(f.Handler())
 
 	// Catch SIGINT/SIGTERM before announcing readiness: a signal sent
 	// as soon as the front is up must drain it, not kill it.

@@ -4,21 +4,12 @@
 //
 // Usage:
 //
-//	scarelint [-analyzers statuscheck,apireach,...] [-json|-sarif] [-fix]
-//	          [-baseline file] [-write-baseline] [packages]
+//	scarelint [-list] [packages]
 //
-// Packages default to ./... relative to the working directory. Output is
-// human-readable text by default; -json emits a stable JSON report and
-// -sarif a SARIF 2.1.0 log (both to stdout, for CI artifacts).
+// Packages default to ./... relative to the working directory. Every
+// finding prints as one file:line:col: error: analyzer: message line.
 //
-// -fix applies every suggested fix (see the statusfix analyzer) to the
-// working tree, gofmt-clean and idempotently. A baseline file
-// (.scarelint-baseline.json at the module root, or -baseline) accepts
-// legacy findings: baselined findings are reported but do not gate;
-// -write-baseline regenerates the file from the current findings.
-//
-// Exit codes: 0 clean (no non-baselined error-severity findings),
-// 1 findings, 2 load or usage failure.
+// Exit codes: 0 clean, 1 findings, 2 load or usage failure.
 package main
 
 import (
@@ -37,18 +28,11 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("scarelint", flag.ExitOnError)
-	only := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	list := fs.Bool("list", false, "list available analyzers and exit")
-	jsonOut := fs.Bool("json", false, "emit findings as JSON on stdout")
-	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0 on stdout")
-	fix := fs.Bool("fix", false, "apply suggested fixes to the working tree")
-	baselinePath := fs.String("baseline", "", "baseline file of accepted findings (default: <module>/"+lint.BaselineFile+" when present)")
-	writeBaseline := fs.Bool("write-baseline", false, "rewrite the baseline file from the current findings and exit")
-	shrinkFrom := fs.String("baseline-shrink-check", "", "compare the baseline against a previous version of it and fail if it grew; no analysis is run (CI)")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: scarelint [flags] [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
-			fmt.Fprintf(fs.Output(), "  %-14s [%s] %s\n", a.Name, a.Severity, a.Doc)
+			fmt.Fprintf(fs.Output(), "  %-14s %s\n", a.Name, a.Doc)
 		}
 		fmt.Fprintf(fs.Output(), "\nFlags:\n")
 		fs.PrintDefaults()
@@ -58,19 +42,9 @@ func run(args []string) int {
 	}
 	if *list {
 		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-14s [%s] %s\n", a.Name, a.Severity, a.Doc)
+			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "scarelint: -json and -sarif are mutually exclusive")
-		return 2
-	}
-
-	analyzers, err := selectAnalyzers(*only)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scarelint:", err)
-		return 2
 	}
 
 	patterns := fs.Args()
@@ -86,13 +60,6 @@ func run(args []string) int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scarelint:", err)
 		return 2
-	}
-	if *shrinkFrom != "" {
-		bpath := *baselinePath
-		if bpath == "" {
-			bpath = filepath.Join(moduleRoot, lint.BaselineFile)
-		}
-		return shrinkCheck(*shrinkFrom, bpath)
 	}
 	loader, err := lint.NewLoader(moduleRoot)
 	if err != nil {
@@ -119,165 +86,20 @@ func run(args []string) int {
 		pkgs = append(pkgs, pkg)
 	}
 
-	diags, err := lint.Run(pkgs, analyzers)
+	diags, err := lint.Run(pkgs, lint.Analyzers())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scarelint:", err)
 		return 2
 	}
-
-	// Baseline: accepted legacy findings are reported but do not gate.
-	bpath := *baselinePath
-	if bpath == "" {
-		bpath = filepath.Join(moduleRoot, lint.BaselineFile)
-	}
-	if *writeBaseline {
-		if err := lint.WriteBaseline(bpath, diags, moduleRoot); err != nil {
-			fmt.Fprintln(os.Stderr, "scarelint:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "scarelint: wrote %s\n", bpath)
-		return 0
-	}
-	baseline, err := lint.LoadBaseline(bpath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scarelint:", err)
-		return 2
-	}
-	stale := baseline.Apply(diags, moduleRoot)
-
-	if *fix {
-		changed, skipped, err := lint.ApplyFixes(loader.Fset, diags)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scarelint:", err)
-			return 2
-		}
-		for _, f := range changed {
-			rel := f
-			if r, err := filepath.Rel(cwd, f); err == nil && !strings.HasPrefix(r, "..") {
-				rel = r
-			}
-			fmt.Printf("fixed %s\n", rel)
-		}
-		if skipped > 0 {
-			fmt.Fprintf(os.Stderr, "scarelint: %d fix(es) skipped (conflicting edits); re-run -fix\n", skipped)
-		}
-		// Findings with no mechanical rewrite still gate below; findings
-		// whose fix was just applied no longer exist in the tree.
-		diags = unfixedDiagnostics(diags)
-	}
-
-	switch {
-	case *jsonOut:
-		if err := lint.EmitJSON(os.Stdout, diags, moduleRoot); err != nil {
-			fmt.Fprintln(os.Stderr, "scarelint:", err)
-			return 2
-		}
-	case *sarifOut:
-		if err := lint.EmitSARIF(os.Stdout, diags, analyzers, moduleRoot); err != nil {
-			fmt.Fprintln(os.Stderr, "scarelint:", err)
-			return 2
-		}
-	default:
-		for _, d := range diags {
-			pos := d.Pos
-			if rel, err := filepath.Rel(cwd, pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
-				pos.Filename = rel
-			}
-			suffix := ""
-			if d.Baselined {
-				suffix = " (baselined)"
-			}
-			fmt.Printf("%s: %s: %s: %s%s\n", pos, d.Severity, d.Analyzer, d.Message, suffix)
-		}
-	}
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "scarelint: stale baseline entry (remove it): %s %s: %s\n", e.Analyzer, e.File, e.Message)
-	}
-
-	gating := 0
 	for _, d := range diags {
-		if d.Severity == lint.SeverityError && !d.Baselined {
-			gating++
+		if rel, err := filepath.Rel(cwd, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+			d.Pos.Filename = rel
 		}
+		fmt.Println(d)
 	}
-	if gating > 0 {
-		fmt.Fprintf(os.Stderr, "scarelint: %d error finding(s) in %d package(s)\n", gating, len(pkgs))
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "scarelint: %d error finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		return 1
 	}
 	return 0
-}
-
-// shrinkCheck enforces the baseline's shrink-only contract: every entry
-// in the current baseline must already exist in the old one. New debt
-// cannot be baselined in a PR — it must be fixed.
-func shrinkCheck(oldPath, newPath string) int {
-	oldB, err := lint.LoadBaseline(oldPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scarelint:", err)
-		return 2
-	}
-	newB, err := lint.LoadBaseline(newPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scarelint:", err)
-		return 2
-	}
-	have := make(map[lint.BaselineEntry]bool, len(oldB.Findings))
-	for _, e := range oldB.Findings {
-		have[e] = true
-	}
-	grew := 0
-	for _, e := range newB.Findings {
-		if !have[e] {
-			fmt.Fprintf(os.Stderr, "scarelint: baseline grew: %s %s: %s\n", e.Analyzer, e.File, e.Message)
-			grew++
-		}
-	}
-	if grew > 0 {
-		fmt.Fprintf(os.Stderr, "scarelint: the baseline is shrink-only; fix the %d new finding(s) instead of baselining them\n", grew)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "scarelint: baseline ok (%d -> %d entries)\n", len(oldB.Findings), len(newB.Findings))
-	return 0
-}
-
-// unfixedDiagnostics drops findings that carried a fix (now applied) and
-// the paired analyzer findings those fixes resolve: a statusfix rewrite
-// at a position also clears the statuscheck/maporder finding anchored
-// there.
-func unfixedDiagnostics(diags []lint.Diagnostic) []lint.Diagnostic {
-	fixedAt := make(map[string]bool)
-	for _, d := range diags {
-		if d.Fix != nil {
-			fixedAt[fmt.Sprintf("%s:%d:%d", d.Pos.Filename, d.Pos.Line, d.Pos.Column)] = true
-		}
-	}
-	out := diags[:0]
-	for _, d := range diags {
-		if fixedAt[fmt.Sprintf("%s:%d:%d", d.Pos.Filename, d.Pos.Line, d.Pos.Column)] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
-func selectAnalyzers(only string) ([]*lint.Analyzer, error) {
-	all := lint.Analyzers()
-	if only == "" {
-		return all, nil
-	}
-	byName := make(map[string]*lint.Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*lint.Analyzer
-	for _, name := range strings.Split(only, ",") {
-		name = strings.TrimSpace(name)
-		a, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (run scarelint -list)", name)
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }

@@ -2,12 +2,13 @@ package campaign
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
+
+	"scarecrow/internal/service"
 )
 
 // eventRing is the default bound on each campaign's event memory. Large
@@ -318,6 +319,5 @@ func writeEvent(w io.Writer, ev Event) error {
 	if err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
-	return err
+	return service.WriteSSE(w, ev.Seq, ev.Type, data)
 }

@@ -2,9 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 )
 
 // APIReach proves, whole-program, that every apiCatalog entry in
@@ -15,78 +13,48 @@ import (
 // advertises an API it never models a call to, which is exactly the kind
 // of inconsistency evasive malware probes for.
 //
-// Mechanically this is the facts engine's showcase: the per-package pass
-// exports an apiReachFact naming every catalog entry the package touches
-// (and, on winapi itself, an apiCatalogFact with the catalog entries and
-// their positions); the RunModule hook then unions the reach facts across
-// every analyzed package and reports the dead entries at their catalog
-// positions. The verdict only fires when internal/winapi itself was
-// requested, so a partial run cannot produce false "dead entry" reports.
+// It is a module pass only: once every requested package has been
+// analyzed, it reads the catalog out of winapi's syntax, unions the
+// entries every loaded package can reach, and reports the dead entries at
+// their catalog positions. The verdict only fires when internal/winapi
+// itself was requested, so a partial run cannot produce false "dead
+// entry" reports.
 var APIReach = &Analyzer{
 	Name:      "apireach",
 	Doc:       "prove every winapi apiCatalog entry is callable from a Context method or hook-dispatch table (dead entries are camouflage gaps)",
-	Run:       runAPIReach,
-	RunModule: runAPIReachModule,
+	RunModule: runAPIReach,
 }
 
-// apiReachFact names the catalog entries one package can reach.
-type apiReachFact struct {
-	names []string
-}
-
-// apiCatalogFact carries the catalog entries (and their source positions)
-// out of the winapi package.
-type apiCatalogFact struct {
-	entries []catalogEntry
-}
-
-type catalogEntry struct {
-	name string
-	pos  token.Pos
-}
-
-func runAPIReach(pass *Pass) error {
-	if pass.Pkg == nil {
+func runAPIReach(mp *ModulePass) error {
+	// Only judge catalog coverage when the catalog's own package was part
+	// of the requested set; a run over one leaf package sees too few
+	// reaching packages to call anything dead.
+	if !mp.Requested[winapiPath] {
 		return nil
 	}
-	if pass.Pkg.Path() == winapiPath {
-		var cat apiCatalogFact
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				spec, ok := n.(*ast.ValueSpec)
-				if !ok {
-					return true
-				}
-				for i, name := range spec.Names {
-					if name.Name != "apiCatalog" || i >= len(spec.Values) {
-						continue
-					}
-					lit, ok := spec.Values[i].(*ast.CompositeLit)
-					if !ok {
-						continue
-					}
-					for _, elt := range lit.Elts {
-						kv, ok := elt.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						if key, ok := stringLiteral(kv.Key); ok {
-							cat.entries = append(cat.entries, catalogEntry{name: key, pos: kv.Key.Pos()})
-						}
-					}
-				}
-				return true
-			})
+	var catalog []catalogEntry
+	reached := make(map[string]bool)
+	for _, pkg := range mp.Packages {
+		if pkg.Path == winapiPath {
+			catalog = catalogEntries(pkg.Syntax)
+		} else if !importsWinapi(pkg.Types) {
+			continue
 		}
-		if len(cat.entries) > 0 {
-			pass.ExportPackageFact(&cat)
-		}
-	} else if !importsWinapi(pass.Pkg) {
-		return nil
+		collectReach(pkg, reached)
 	}
+	for _, entry := range catalog {
+		if reached[entry.name] {
+			continue
+		}
+		mp.Reportf(entry.pos, "apiCatalog entry %q is unreachable: no Context method, hook-dispatch table, or hook surface refers to it — a dead entry is a live camouflage gap", entry.name)
+	}
+	return nil
+}
 
-	seen := make(map[string]bool)
-	for _, f := range pass.Files {
+// collectReach adds to reached every catalog entry one package refers to.
+func collectReach(pkg *Package, reached map[string]bool) {
+	info := pkg.TypesInfo
+	for _, f := range pkg.Syntax {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
@@ -96,9 +64,9 @@ func runAPIReach(pass *Pass) error {
 				var obj types.Object
 				switch fun := n.Fun.(type) {
 				case *ast.SelectorExpr:
-					obj = pass.TypesInfo.Uses[fun.Sel]
+					obj = info.Uses[fun.Sel]
 				case *ast.Ident:
-					obj = pass.TypesInfo.Uses[fun]
+					obj = info.Uses[fun]
 				}
 				fn, ok := obj.(*types.Func)
 				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != winapiPath {
@@ -109,17 +77,17 @@ func runAPIReach(pass *Pass) error {
 					return true
 				}
 				if name, ok := stringLiteral(n.Args[argIdx]); ok {
-					seen[name] = true
+					reached[name] = true
 				}
 			case *ast.CompositeLit:
 				// Keys of hook-dispatch tables (map[string]HookHandler).
-				if !pass.isHookHandlerMap(n) {
+				if !isHookHandlerMap(info, n) {
 					return true
 				}
 				for _, elt := range n.Elts {
 					if kv, ok := elt.(*ast.KeyValueExpr); ok {
 						if name, ok := stringLiteral(kv.Key); ok {
-							seen[name] = true
+							reached[name] = true
 						}
 					}
 				}
@@ -133,13 +101,13 @@ func runAPIReach(pass *Pass) error {
 					if !ok {
 						continue
 					}
-					obj := pass.TypesInfo.Defs[ident]
+					obj := info.Defs[ident]
 					if obj == nil || !isStringSlice(obj.Type()) {
 						continue
 					}
 					for _, elt := range lit.Elts {
 						if name, ok := stringLiteral(elt); ok {
-							seen[name] = true
+							reached[name] = true
 						}
 					}
 				}
@@ -147,42 +115,4 @@ func runAPIReach(pass *Pass) error {
 			return true
 		})
 	}
-	if len(seen) > 0 {
-		fact := &apiReachFact{names: make([]string, 0, len(seen))}
-		for name := range seen {
-			fact.names = append(fact.names, name)
-		}
-		sort.Strings(fact.names)
-		pass.ExportPackageFact(fact)
-	}
-	return nil
-}
-
-func runAPIReachModule(mp *ModulePass) error {
-	// Only judge catalog coverage when the catalog's own package was part
-	// of the requested set; a run over one leaf package sees too few
-	// reach facts to call anything dead.
-	if !mp.Requested[winapiPath] {
-		return nil
-	}
-	var cat apiCatalogFact
-	if !mp.ImportPackageFact(winapiPath, &cat) {
-		return nil
-	}
-	reached := make(map[string]bool)
-	for _, pkg := range mp.Packages {
-		var fact apiReachFact
-		if mp.ImportPackageFact(pkg.Path, &fact) {
-			for _, name := range fact.names {
-				reached[name] = true
-			}
-		}
-	}
-	for _, entry := range cat.entries {
-		if reached[entry.name] {
-			continue
-		}
-		mp.Reportf(entry.pos, "apiCatalog entry %q is unreachable: no Context method, hook-dispatch table, or hook surface refers to it — a dead entry is a live camouflage gap", entry.name)
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 	"strconv"
@@ -56,7 +57,10 @@ func runHookCatalog(pass *Pass) error {
 	if err != nil {
 		return err
 	}
-	catalog := extractCatalog(files)
+	catalog := make(map[string]bool) // name -> hookable
+	for _, e := range catalogEntries(files) {
+		catalog[e.name] = e.hookable
+	}
 	if len(catalog) == 0 {
 		// The catalog declaration moved or changed shape; that must fail
 		// loudly, not silently disable the analyzer.
@@ -82,7 +86,7 @@ func runHookCatalog(pass *Pass) error {
 			case *ast.CallExpr:
 				pass.checkAPINameCall(n, catalog)
 			case *ast.CompositeLit:
-				if pass.isHookHandlerMap(n) {
+				if isHookHandlerMap(pass.TypesInfo, n) {
 					pass.checkHandlerMapKeys(n, catalog)
 				} else {
 					pass.checkTriggerReport(n, catalog)
@@ -110,10 +114,18 @@ func importsWinapi(pkg *types.Package) bool {
 	return false
 }
 
-// extractCatalog reads the apiCatalog map literal out of the winapi
-// package syntax and returns name -> hookable.
-func extractCatalog(files []*ast.File) map[string]bool {
-	catalog := make(map[string]bool)
+// catalogEntry is one apiCatalog key: the API name, its position, and
+// whether its apiMeta marks it hookable.
+type catalogEntry struct {
+	name     string
+	pos      token.Pos
+	hookable bool
+}
+
+// catalogEntries reads the apiCatalog map literal out of the winapi
+// package syntax, in source order.
+func catalogEntries(files []*ast.File) []catalogEntry {
+	var entries []catalogEntry
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			spec, ok := n.(*ast.ValueSpec)
@@ -133,17 +145,15 @@ func extractCatalog(files []*ast.File) map[string]bool {
 					if !ok {
 						continue
 					}
-					key, ok := stringLiteral(kv.Key)
-					if !ok {
-						continue
+					if key, ok := stringLiteral(kv.Key); ok {
+						entries = append(entries, catalogEntry{name: key, pos: kv.Key.Pos(), hookable: metaIsHookable(kv.Value)})
 					}
-					catalog[key] = metaIsHookable(kv.Value)
 				}
 			}
 			return true
 		})
 	}
-	return catalog
+	return entries
 }
 
 // metaIsHookable reads the hookable field from an apiMeta composite
@@ -214,8 +224,8 @@ func (p *Pass) checkAPINameCall(call *ast.CallExpr, catalog map[string]bool) {
 
 // isHookHandlerMap reports whether the composite literal has type
 // map[string]winapi.HookHandler.
-func (p *Pass) isHookHandlerMap(lit *ast.CompositeLit) bool {
-	tv, ok := p.TypesInfo.Types[lit]
+func isHookHandlerMap(info *types.Info, lit *ast.CompositeLit) bool {
+	tv, ok := info.Types[lit]
 	if !ok {
 		return false
 	}
@@ -326,7 +336,7 @@ func (p *Pass) checkHookCoverage(fn *ast.FuncDecl, hookedVars map[types.Object][
 	var mapLit *ast.CompositeLit
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		lit, ok := n.(*ast.CompositeLit)
-		if !ok || !p.isHookHandlerMap(lit) {
+		if !ok || !isHookHandlerMap(p.TypesInfo, lit) {
 			return true
 		}
 		if mapLit == nil {

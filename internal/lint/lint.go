@@ -1,7 +1,7 @@
 // Package lint is scarecrow's in-tree static-analysis suite: a small,
 // self-contained framework in the style of golang.org/x/tools/go/analysis
 // (which is deliberately not imported so the repo builds with a bare
-// toolchain and no module downloads) plus ten repo-specific analyzers
+// toolchain and no module downloads) plus nine repo-specific analyzers
 // that turn the simulation's runtime invariants into build errors:
 //
 //   - statuscheck: a winapi.Status result must never be silently dropped.
@@ -28,16 +28,10 @@
 //     entry is a camouflage gap malware can probe.
 //   - maporder: map iteration order must never flow into verdict, report,
 //     marshal, or /metrics output; sort the keys first.
-//   - statusfix: the suggested-fix engine behind `scarelint -fix` —
-//     mechanical rewrites for dropped Status results and unsorted map
-//     ranges, consuming the facts statuscheck and maporder export.
 //
-// The framework is a real cross-package engine, not a per-package loop:
-// analyzers export typed facts per package, declare dependencies on each
-// other via Requires, and the engine runs them over the module's package
-// graph in dependency order, in parallel across independent packages.
-// Whole-program analyzers add a RunModule hook that fires once after
-// every package has been analyzed, with all exported facts in view.
+// Run is one sequential pass: every analyzer over every requested
+// package, then each whole-program RunModule hook once, with the
+// module-local dependency closure of the requested packages in view.
 //
 // The paper's whole deception premise is consistency — one mismatched
 // artifact (an unhooked API, a wrong timestamp) lets evasive malware see
@@ -55,84 +49,33 @@ import (
 	"strings"
 )
 
-// Severity ranks a finding. Error findings gate CI (and the scarelint
-// exit code); warn and info findings are reported but never fail a run.
-type Severity int
-
-const (
-	SeverityError Severity = iota
-	SeverityWarn
-	SeverityInfo
-)
-
-// String renders the severity in lowercase, as emitted on the wire.
-func (s Severity) String() string {
-	switch s {
-	case SeverityError:
-		return "error"
-	case SeverityWarn:
-		return "warn"
-	case SeverityInfo:
-		return "info"
-	}
-	return fmt.Sprintf("severity(%d)", int(s))
-}
-
 // Analyzer describes one static check: a name for diagnostics, one-line
-// documentation, and the function that inspects a package.
+// documentation, and the functions that inspect the code.
 type Analyzer struct {
 	Name string
 	Doc  string
-	Run  func(*Pass) error
 
-	// Severity is the default severity of this analyzer's diagnostics.
-	// The zero value is SeverityError: an invariant violation.
-	Severity Severity
+	// Run, if set, inspects one requested package.
+	Run func(*Pass) error
 
-	// Requires lists analyzers that must run before this one on each
-	// package. A required analyzer's facts are readable through
-	// Pass.ImportAnalyzerFact; its diagnostics are still its own.
-	Requires []*Analyzer
-
-	// RunModule, if set, runs once after every package has been analyzed,
-	// with all exported facts in view — the whole-program half of an
-	// analyzer (e.g. apireach's catalog-coverage verdict).
+	// RunModule, if set, runs once after every requested package has been
+	// analyzed — the whole-program half of an analyzer (e.g. apireach's
+	// catalog-coverage verdict).
 	RunModule func(*ModulePass) error
 }
 
-// TextEdit replaces the source range [Pos, End) with NewText.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText string
-}
-
-// SuggestedFix is a mechanical rewrite that resolves a diagnostic. Fixes
-// are applied by `scarelint -fix` (see ApplyFixes); every applied fix
-// must leave the file gofmt-clean and must not re-trigger the analyzer.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
-}
-
-// Diagnostic is one finding, positioned in the analyzed source.
+// Diagnostic is one finding, positioned in the analyzed source. Every
+// finding is an invariant violation and fails a scarelint run.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
-	Severity Severity
 	Message  string
-
-	// Fix, when non-nil, is a rewrite that resolves the finding.
-	Fix *SuggestedFix
-
-	// Baselined marks a finding accepted by the checked-in baseline file;
-	// baselined findings are reported but do not gate the exit code.
-	Baselined bool
 }
 
-// String renders the diagnostic in the conventional file:line:col form.
+// String renders the diagnostic in the conventional
+// file:line:col: error: form.
 func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s: %s: %s: %s", d.Pos, d.Severity, d.Analyzer, d.Message)
+	return fmt.Sprintf("%s: error: %s: %s", d.Pos, d.Analyzer, d.Message)
 }
 
 // Pass carries one analyzer's view of one type-checked package.
@@ -144,67 +87,16 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	loader *Loader
-	engine *engine
 	sink   *[]Diagnostic
 }
 
-// Reportf records a diagnostic at pos with the analyzer's default
-// severity.
+// Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, nil, format, args...)
-}
-
-// ReportFix records a diagnostic carrying a suggested fix.
-func (p *Pass) ReportFix(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
-	p.report(pos, fix, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
 	*p.sink = append(*p.sink, Diagnostic{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
-		Severity: p.Analyzer.Severity,
 		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
 	})
-}
-
-// ExportPackageFact publishes a fact about the package under analysis.
-// Facts are keyed by (analyzer, package, concrete fact type); exporting a
-// second fact of the same type overwrites the first. Downstream passes of
-// the same analyzer read it with ImportPackageFact; analyzers listing
-// this one in Requires read it with ImportAnalyzerFact.
-func (p *Pass) ExportPackageFact(fact any) {
-	if p.engine == nil || p.Pkg == nil {
-		return
-	}
-	p.engine.exportFact(p.Analyzer, p.Pkg.Path(), fact)
-}
-
-// ImportPackageFact copies the fact this analyzer exported for pkgPath
-// into ptr (a pointer to the fact's concrete type), reporting whether one
-// was found. The engine's dependency order guarantees facts of the
-// analyzed package's imports are already computed.
-func (p *Pass) ImportPackageFact(pkgPath string, ptr any) bool {
-	if p.engine == nil {
-		return false
-	}
-	return p.engine.importFact(p.Analyzer, pkgPath, ptr)
-}
-
-// ImportAnalyzerFact copies the fact another analyzer exported for
-// pkgPath into ptr. The other analyzer must be listed in Requires — that
-// is what orders it before this one on every package.
-func (p *Pass) ImportAnalyzerFact(from *Analyzer, pkgPath string, ptr any) bool {
-	if p.engine == nil {
-		return false
-	}
-	for _, r := range p.Analyzer.Requires {
-		if r == from {
-			return p.engine.importFact(from, pkgPath, ptr)
-		}
-	}
-	panic(fmt.Sprintf("lint: %s imports a fact from %s without listing it in Requires", p.Analyzer.Name, from.Name))
 }
 
 // PackageSyntax returns the parsed files of another module-local package
@@ -223,12 +115,12 @@ func (p *Pass) PackageSyntax(path string) ([]*ast.File, error) {
 }
 
 // ModulePass is the whole-program view handed to RunModule after every
-// package has been analyzed.
+// requested package has been analyzed.
 type ModulePass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 
-	// Packages are all analyzed module-local packages (the requested set
+	// Packages are all loaded module-local packages (the requested set
 	// plus their module-local dependency closure), sorted by import path.
 	Packages []*Package
 
@@ -238,8 +130,7 @@ type ModulePass struct {
 	// was requested, so a partial run cannot produce false positives.
 	Requested map[string]bool
 
-	engine *engine
-	sink   *[]Diagnostic
+	sink *[]Diagnostic
 }
 
 // Reportf records a module-level diagnostic at pos.
@@ -247,39 +138,71 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.sink = append(*p.sink, Diagnostic{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
-		Severity: p.Analyzer.Severity,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ImportPackageFact copies the fact this analyzer exported for pkgPath
-// into ptr, reporting whether one was found.
-func (p *ModulePass) ImportPackageFact(pkgPath string, ptr any) bool {
-	return p.engine.importFact(p.Analyzer, pkgPath, ptr)
 }
 
 // Analyzers returns the full scarelint suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		StatusCheck, HookCatalog, VirtualClock, TraceComplete, NoPanic,
-		Exhaustive, LockField, APIReach, MapOrder, StatusFix,
+		Exhaustive, LockField, APIReach, MapOrder,
 	}
 }
 
-// Run executes the analyzers over the requested packages and returns all
-// diagnostics sorted by file position. The engine also analyzes the
-// module-local dependency closure of the requested packages (facts flow
-// dependency-first), but only reports diagnostics in requested packages
-// from the requested analyzers. Analyzer errors (not findings) abort the
-// run.
+// Run executes the analyzers over the requested packages, then each
+// analyzer's RunModule over the loaded module, and returns all
+// diagnostics sorted by file position. Analyzer errors (not findings)
+// abort the run.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if len(pkgs) == 0 {
 		return nil, nil
 	}
-	e := newEngine(pkgs[0].loader, pkgs, analyzers)
-	diags, err := e.run()
-	if err != nil {
-		return nil, err
+	var diags []Diagnostic
+	requested := make(map[string]bool, len(pkgs))
+	for _, pkg := range pkgs {
+		if requested[pkg.Path] {
+			continue
+		}
+		requested[pkg.Path] = true
+		for _, a := range analyzers {
+			if a.Run == nil {
+				continue
+			}
+			pass := &Pass{
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Syntax,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.TypesInfo,
+				loader:    pkg.loader,
+				sink:      &diags,
+			}
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s: analyzing %s: %w", a.Name, pkg.Path, err)
+			}
+		}
+	}
+
+	loader := pkgs[0].loader
+	var loaded []*Package
+	for _, path := range loader.LoadedPaths() {
+		loaded = append(loaded, loader.pkgs[path])
+	}
+	for _, a := range analyzers {
+		if a.RunModule == nil {
+			continue
+		}
+		mp := &ModulePass{
+			Analyzer:  a,
+			Fset:      loader.Fset,
+			Packages:  loaded,
+			Requested: requested,
+			sink:      &diags,
+		}
+		if err := a.RunModule(mp); err != nil {
+			return nil, fmt.Errorf("%s: module analysis: %w", a.Name, err)
+		}
 	}
 	sortDiagnostics(diags)
 	return diags, nil
@@ -311,32 +234,4 @@ func nodeString(fset *token.FileSet, n ast.Node) string {
 		return "expression"
 	}
 	return sb.String()
-}
-
-// exprIsPure reports whether duplicating the expression in generated code
-// is safe: identifiers, field selections, parens, and simple index forms
-// only — nothing that could run twice with side effects.
-func exprIsPure(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return true
-	case *ast.SelectorExpr:
-		return exprIsPure(e.X)
-	case *ast.ParenExpr:
-		return exprIsPure(e.X)
-	case *ast.IndexExpr:
-		return exprIsPure(e.X) && exprIsPure(e.Index)
-	case *ast.BasicLit:
-		return true
-	}
-	return false
-}
-
-// basicKind returns the basic-type kind underlying t, or types.Invalid.
-func basicKind(t types.Type) types.BasicKind {
-	b, ok := t.Underlying().(*types.Basic)
-	if !ok {
-		return types.Invalid
-	}
-	return b.Kind()
 }

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, type-checked package.
@@ -33,21 +32,15 @@ type Package struct {
 // type-checked from GOROOT sources via the compiler-independent source
 // importer. Test files (_test.go) are excluded, matching what ships.
 //
-// Loads are memoized and safe for concurrent callers: loadMu serializes
-// top-level Load operations (type-checking recurses through Import on the
-// same goroutine, so the lock is taken only at the entry point), while mu
-// guards the package cache for the lock-free cache-hit fast path the
-// parallel analysis phase relies on.
+// Loads are memoized. A Loader is not safe for concurrent use.
 type Loader struct {
 	ModuleRoot string // absolute path of the directory holding go.mod
 	ModulePath string // module path from go.mod
 	Fset       *token.FileSet
 
-	std    types.Importer
-	loadMu sync.Mutex // serializes top-level Load calls
-	mu     sync.Mutex // guards pkgs
-	pkgs   map[string]*Package
-	extra  map[string]string // import path -> directory overrides (fixtures)
+	std   types.Importer
+	pkgs  map[string]*Package
+	extra map[string]string // import path -> directory overrides (fixtures)
 }
 
 // NewLoader builds a loader for the module rooted at moduleRoot.
@@ -130,37 +123,7 @@ func (l *Loader) dirFor(path string) string {
 // caching the result. Standard-library paths are rejected; they are only
 // reachable as dependencies via Import.
 func (l *Loader) Load(path string) (*Package, error) {
-	if pkg := l.cached(path); pkg != nil {
-		return pkg, nil
-	}
-	l.loadMu.Lock()
-	defer l.loadMu.Unlock()
-	return l.load(path)
-}
-
-func (l *Loader) cached(path string) *Package {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.pkgs[path]
-}
-
-// LoadedPaths returns the import paths of every package the loader has
-// type-checked so far (all module-local by construction), sorted.
-func (l *Loader) LoadedPaths() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.pkgs))
-	for p := range l.pkgs {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// load is the single-goroutine body of Load; the type-checker's Import
-// callback recurses into it directly, under the caller's loadMu.
-func (l *Loader) load(path string) (*Package, error) {
-	if pkg := l.cached(path); pkg != nil {
+	if pkg := l.pkgs[path]; pkg != nil {
 		return pkg, nil
 	}
 	dir := l.dirFor(path)
@@ -200,19 +163,26 @@ func (l *Loader) load(path string) (*Package, error) {
 		TypesInfo: info,
 		loader:    l,
 	}
-	l.mu.Lock()
 	l.pkgs[path] = pkg
-	l.mu.Unlock()
 	return pkg, nil
+}
+
+// LoadedPaths returns the import paths of every package the loader has
+// type-checked so far (all module-local by construction), sorted.
+func (l *Loader) LoadedPaths() []string {
+	out := make([]string, 0, len(l.pkgs))
+	for p := range l.pkgs {
+		out = append(out, p)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // Import implements types.Importer: module-local packages load through the
 // loader, everything else through the standard-library source importer.
-// It is only invoked by the type-checker inside load, so it recurses into
-// load directly rather than re-taking loadMu.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if l.dirFor(path) != "" {
-		pkg, err := l.load(path)
+		pkg, err := l.Load(path)
 		if err != nil {
 			return nil, err
 		}

@@ -38,26 +38,10 @@ var MapOrder = &Analyzer{
 	Run:  runMapOrder,
 }
 
-// unsortedRangeFact records the offending map ranges of one package, for
-// the statusfix suggested-fix engine.
-type unsortedRangeFact struct {
-	sites []unsortedRangeSite
-}
-
-type unsortedRangeSite struct {
-	rng  *ast.RangeStmt
-	file *ast.File
-	// fixable marks the shapes -fix can rewrite mechanically: a `:=`
-	// range with an identifier key over a pure string-keyed map
-	// expression.
-	fixable bool
-}
-
 func runMapOrder(pass *Pass) error {
 	if pass.Pkg == nil || !packagePathIn(pass.Pkg.Path(), MapOrderScope) {
 		return nil
 	}
-	var fact unsortedRangeFact
 	for _, f := range pass.Files {
 		okLines := mapOrderAnnotations(pass.Fset, f)
 		// bodies collects every function body in the file so a range
@@ -80,8 +64,7 @@ func runMapOrder(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			m := mapTypeOf(pass, rng.X)
-			if m == nil {
+			if mapTypeOf(pass, rng.X) == nil {
 				return true
 			}
 			if okLines[pass.Fset.Position(rng.For).Line] {
@@ -93,18 +76,10 @@ func runMapOrder(pass *Pass) error {
 			if sortCallAfter(pass, bodies, rng) {
 				return true
 			}
-			fact.sites = append(fact.sites, unsortedRangeSite{
-				rng:     rng,
-				file:    f,
-				fixable: mapRangeFixable(pass, rng, m),
-			})
 			pass.Reportf(rng.For, "iteration order of %s flows into ordered output; collect and sort the keys first (or annotate //maporder:ok if order is irrelevant)",
 				nodeString(pass.Fset, rng.X))
 			return true
 		})
-	}
-	if len(fact.sites) > 0 {
-		pass.ExportPackageFact(&fact)
 	}
 	return nil
 }
@@ -282,27 +257,4 @@ func sortCallAfter(pass *Pass, bodies []*ast.BlockStmt, rng *ast.RangeStmt) bool
 		return !found
 	})
 	return found
-}
-
-// mapRangeFixable reports whether statusfix can mechanically rewrite the
-// range: `for k := range m` / `for k, v := range m` with `:=`, identifier
-// key, a string key type, and a side-effect-free map expression that is
-// safe to duplicate.
-func mapRangeFixable(pass *Pass, rng *ast.RangeStmt, m *types.Map) bool {
-	if rng.Tok != token.DEFINE {
-		return false
-	}
-	key, ok := rng.Key.(*ast.Ident)
-	if !ok || key.Name == "_" {
-		return false
-	}
-	if rng.Value != nil {
-		if _, ok := rng.Value.(*ast.Ident); !ok {
-			return false
-		}
-	}
-	if basicKind(m.Key()) != types.String {
-		return false
-	}
-	return exprIsPure(rng.X)
 }

@@ -5,34 +5,8 @@ import (
 	"testing"
 )
 
-// expandRequires must schedule prerequisites before their dependents and
-// keep the closure duplicate-free.
-func TestExpandRequiresTopologicalOrder(t *testing.T) {
-	got := expandRequires([]*Analyzer{StatusFix})
-	var names []string
-	for _, a := range got {
-		names = append(names, a.Name)
-	}
-	pos := make(map[string]int, len(names))
-	for i, n := range names {
-		if _, dup := pos[n]; dup {
-			t.Fatalf("analyzer %s appears twice in %v", n, names)
-		}
-		pos[n] = i
-	}
-	for _, req := range []string{StatusCheck.Name, MapOrder.Name} {
-		i, ok := pos[req]
-		if !ok {
-			t.Fatalf("required analyzer %s missing from %v", req, names)
-		}
-		if i >= pos[StatusFix.Name] {
-			t.Errorf("%s scheduled at %d, after its dependent statusfix at %d", req, i, pos[StatusFix.Name])
-		}
-	}
-}
-
 // Two runs over the same packages must produce identical diagnostics —
-// the parallel scheduler may not leak nondeterminism into the output.
+// no map order may leak nondeterminism into the output.
 func TestRunIsDeterministic(t *testing.T) {
 	run := func() []Diagnostic {
 		loader := newTestLoader(t)
@@ -59,7 +33,7 @@ func TestRunIsDeterministic(t *testing.T) {
 }
 
 // Diagnostics must only be reported for requested packages, even though
-// dependency packages are analyzed for facts.
+// loading them type-checks their dependencies too.
 func TestRunReportsOnlyRequestedPackages(t *testing.T) {
 	loader := newTestLoader(t)
 	pkg, err := loader.Load("scarecrow/internal/core")
@@ -73,7 +47,7 @@ func TestRunReportsOnlyRequestedPackages(t *testing.T) {
 	for _, d := range diags {
 		t.Errorf("diagnostic outside the clean requested package: %s", d)
 	}
-	// The dependency closure was still analyzed: winapi is cached.
+	// The dependency closure was still loaded: winapi is cached.
 	found := false
 	for _, p := range loader.LoadedPaths() {
 		if p == winapiPath {

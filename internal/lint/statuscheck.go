@@ -23,31 +23,15 @@ var StatusCheck = &Analyzer{
 	Run:  runStatusCheck,
 }
 
-// droppedStatusFact records the silent drops statuscheck found in one
-// package, for the statusfix suggested-fix engine. Only plain
-// expression-statement drops are listed: a go/defer drop has no mechanical
-// `_ =` rewrite.
-type droppedStatusFact struct {
-	sites []droppedStatusSite
-}
-
-type droppedStatusSite struct {
-	call    *ast.CallExpr
-	results int // length of the call's result tuple
-}
-
 func runStatusCheck(pass *Pass) error {
-	var fact droppedStatusFact
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var call *ast.CallExpr
 			var verb string
-			fixable := false
 			switch s := n.(type) {
 			case *ast.ExprStmt:
 				call, _ = s.X.(*ast.CallExpr)
 				verb = "silently discarded"
-				fixable = true
 			case *ast.GoStmt:
 				call = s.Call
 				verb = "discarded by the go statement"
@@ -62,27 +46,12 @@ func runStatusCheck(pass *Pass) error {
 			if !ok || !resultCarriesStatus(tv.Type) {
 				return true
 			}
-			if fixable {
-				fact.sites = append(fact.sites, droppedStatusSite{call: call, results: resultCount(tv.Type)})
-			}
 			pass.Reportf(call.Pos(), "result of %s contains a winapi.Status that is %s; handle it or assign it explicitly",
 				nodeString(pass.Fset, call.Fun), verb)
 			return true
 		})
 	}
-	if len(fact.sites) > 0 {
-		pass.ExportPackageFact(&fact)
-	}
 	return nil
-}
-
-// resultCount returns how many values the call produces (1 for a single
-// result, tuple length otherwise).
-func resultCount(t types.Type) int {
-	if tup, ok := t.(*types.Tuple); ok {
-		return tup.Len()
-	}
-	return 1
 }
 
 // resultCarriesStatus reports whether a call result type is, or contains,

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // submitResponse is the body of POST /v1/submit.
@@ -60,6 +62,36 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v)
+}
+
+// Connection timeouts of the daemons' HTTP servers. A client gets
+// readHeaderTimeout to finish its request headers and an idle keep-alive
+// connection is closed after idleTimeout, so neither can hold a
+// connection forever. There is deliberately no read or write timeout:
+// the read deadline would cancel the request context of long-lived
+// campaign and /v1/monitor streams, and the write deadline would cut
+// them off.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns the http.Server scarecrowd and scarefront serve
+// their handler with.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// WriteSSE writes one Server-Sent Event frame: id, event name, and a
+// single-line data payload. It is the frame writer of both
+// /v1/monitor and the campaign event streams.
+func WriteSSE(w io.Writer, id uint64, event string, data []byte) error {
+	_, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", id, event, data)
+	return err
 }
 
 // submitError maps a Submit failure to its HTTP status. Queue-full carries

@@ -69,11 +69,6 @@ func (p *monitorLabs) put(lab *analysis.Lab) {
 	p.labs[lab.Profile] = append(p.labs[lab.Profile], lab)
 }
 
-// writeSSE emits one Server-Sent Event frame.
-func writeSSE(w http.ResponseWriter, id int, event string, data []byte) {
-	fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", id, event, data)
-}
-
 // handleMonitor serves POST /v1/monitor. Concurrency is bounded by the
 // monitor semaphore (worker-count wide) so streaming runs cannot
 // outnumber the verdict workers; a saturated tier answers 429 +
@@ -138,13 +133,13 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 	// so frames stream in event order with no buffering or races. A
 	// disconnected client turns writes into errors we ignore — the run
 	// completes regardless, exactly like the synchronous verdict path.
-	frames := 0
+	var frames uint64
 	result := lab.RunMonitoredSeeded(res.specimen, res.seed, analysis.MonitorOptions{
 		Action: action,
 		OnDetection: func(d deter.Detection) {
 			frames++
 			if b, err := json.Marshal(d); err == nil {
-				writeSSE(w, frames, "detection", b)
+				WriteSSE(w, frames, "detection", b)
 				flusher.Flush()
 			}
 		},
@@ -155,7 +150,7 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 		doc = []byte(fmt.Sprintf(`{"specimen":%q,"category":"error","error":%q}`, res.specimen.ID, err.Error()))
 	}
 	frames++
-	writeSSE(w, frames, "verdict", doc)
+	WriteSSE(w, frames, "verdict", doc)
 	flusher.Flush()
 
 	s.mu.Lock()

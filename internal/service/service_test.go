@@ -448,3 +448,34 @@ func TestRecipeVerdict(t *testing.T) {
 		t.Fatalf("recipe replay bytes differ")
 	}
 }
+
+// Both daemons serve through NewHTTPServer: a client must finish its
+// headers within readHeaderTimeout and an idle keep-alive connection is
+// closed, while the read and write deadlines stay unset so long-lived
+// campaign and monitor streams are neither cancelled nor cut off.
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	h := http.NewServeMux()
+	srv := NewHTTPServer(h)
+	if srv.Handler != h {
+		t.Error("NewHTTPServer dropped the handler")
+	}
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v (> 0)", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v (> 0)", srv.IdleTimeout, idleTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout = %v, WriteTimeout = %v; both must stay 0 for streams", srv.ReadTimeout, srv.WriteTimeout)
+	}
+}
+
+func TestWriteSSEFrame(t *testing.T) {
+	var b bytes.Buffer
+	if err := WriteSSE(&b, 7, "verdict", []byte(`{"a":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := b.String(), "id: 7\nevent: verdict\ndata: {\"a\":1}\n\n"; got != want {
+		t.Errorf("frame = %q, want %q", got, want)
+	}
+}
