@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test alloc-budgets perfbench-test vet lint race store-race front-repeat cover fuzz-smoke service-smoke front-smoke monitor-smoke bench-hotpath bench-synth bench-monitor synth-smoke generate generate-check hooks ci
+.PHONY: build test alloc-budgets perfbench-test vet lint race store-race front-repeat cover fuzz-smoke service-smoke front-smoke monitor-smoke bench-synth bench-monitor synth-smoke generate generate-check hooks ci
 
 build:
 	$(GO) build ./...
@@ -90,15 +90,6 @@ generate-check: generate
 	@git diff --exit-code internal/winsim/snapshot_gen.go || \
 		{ echo "FAIL: internal/winsim/snapshot_gen.go is stale; run 'make generate' and commit the result"; exit 1; }
 
-# bench-hotpath measures the in-process cold verdict pipeline and the
-# per-stage allocation budgets, writing BENCH_hotpath.json. The gates are
-# regression tripwires: the cold rate must stay at least 5x the honest
-# pre-optimization baseline (~90 uncached verdicts/s — see
-# cmd/scarebench/hotpath.go for the derivation) and the clone/record/
-# marshal/commit stages must stay within their allocs/op budgets.
-bench-hotpath:
-	$(GO) run ./cmd/scarebench -hotpath -min-cold-speedup 5 -hotpath-out BENCH_hotpath.json
-
 # synth-smoke proves the adversarial QA loop end to end at a fixed seed:
 # the planted camouflage gap (reboot-restore conjunction) is rediscovered
 # by the fuzzer and delta-debugged to its one-leaf core, and every gap
@@ -153,4 +144,4 @@ hooks:
 
 # ci mirrors .github/workflows/ci.yml: the tier-1 verify plus the static
 # checks. `make ci` green locally means CI is green.
-ci: build vet lint generate-check race alloc-budgets store-race front-repeat perfbench-test cover fuzz-smoke synth-smoke bench-hotpath bench-synth bench-monitor service-smoke front-smoke monitor-smoke
+ci: build vet lint generate-check race alloc-budgets store-race front-repeat perfbench-test cover fuzz-smoke synth-smoke bench-synth bench-monitor service-smoke front-smoke monitor-smoke

@@ -345,7 +345,7 @@ func BenchmarkAblationMitigationKill(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				lab := analysis.NewLab(42)
 				lab.Config.Mitigation = mode.policy
-				res := lab.RunSample(malware.CorpusSelfSpawner(), 1)
+				res := lab.RunSampleSeeded(malware.CorpusSelfSpawner(), lab.Seed^1)
 				spawns = res.Protected.Summary.SelfSpawns
 			}
 			b.ReportMetric(float64(spawns), "spawns")

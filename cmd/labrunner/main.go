@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"scarecrow/internal/analysis"
@@ -198,7 +199,7 @@ func crawl(seed int64) error {
 func case1(seed int64) error {
 	header("Case I — Kasidet's comprehensive evasive disjunction")
 	lab := newLab(seed)
-	res := lab.RunSample(malware.Kasidet(), 1)
+	res := lab.RunSampleSeeded(malware.Kasidet(), seed^1)
 	if res.Err != nil {
 		return res.Err
 	}
@@ -226,7 +227,7 @@ func isolation(seed int64) error {
 	header("§VI-B — profile isolation against a Scarecrow-aware detector")
 	detector := malware.ScarecrowAware()
 	stock := newLab(seed)
-	res := stock.RunSample(detector, 1)
+	res := stock.RunSampleSeeded(detector, seed^1)
 	if res.Err != nil {
 		return res.Err
 	}
@@ -234,7 +235,7 @@ func isolation(seed int64) error {
 		res.Verdict.Deactivated)
 	iso := newLab(seed)
 	iso.Config.ProfileIsolation = true
-	res = iso.RunSample(detector, 1)
+	res = iso.RunSampleSeeded(detector, seed^1)
 	if res.Err != nil {
 		return res.Err
 	}
@@ -267,8 +268,13 @@ func baseline(seed int64) error {
 		return err
 	}
 	fmt.Println(report)
-	for rig, n := range report.PerRig {
-		fmt.Printf("  evaded %s: %d\n", rig, n)
+	rigs := make([]string, 0, len(report.PerRig))
+	for rig := range report.PerRig {
+		rigs = append(rigs, rig)
+	}
+	sort.Strings(rigs)
+	for _, rig := range rigs {
+		fmt.Printf("  evaded %s: %d\n", rig, report.PerRig[rig])
 	}
 	return nil
 }
@@ -290,7 +296,7 @@ func survey(seed int64) error {
 
 func toolKill(seed int64) error {
 	header("§II-B(b) — counter-forensic tool killing vs protected decoys")
-	res := newLab(seed).RunSample(malware.ToolKiller(), 1)
+	res := newLab(seed).RunSampleSeeded(malware.ToolKiller(), seed^1)
 	if res.Err != nil {
 		return res.Err
 	}

@@ -85,13 +85,6 @@ func main() {
 		monitorSeeds     = flag.Int("monitor-seeds", 4, "distinct machine seeds per sample (monitor mode)")
 		minDetectionRate = flag.Float64("min-detection-rate", 0, "fail unless the deterred fraction meets this floor (0 = no gate)")
 		maxMedianLost    = flag.Float64("max-median-files-lost", -1, "fail if the median files lost before kill exceeds this (negative = no gate)")
-
-		hotpathMode     = flag.Bool("hotpath", false, "benchmark the in-process cold path: clone+run+marshal+commit, no daemon needed")
-		hotpathOut      = flag.String("hotpath-out", "BENCH_hotpath.json", "hotpath artifact path (empty = skip)")
-		hotpathN        = flag.Int("hotpath-n", 512, "cold verdicts to run (hotpath mode)")
-		hotpathWorkers  = flag.Int("hotpath-workers", 0, "cold pipeline width (0 = GOMAXPROCS, the service default)")
-		hotpathBaseline = flag.Float64("hotpath-baseline", 90, "honest pre-optimization cold rate in verdicts/s (see hotpath.go for its derivation)")
-		minColdSpeedup  = flag.Float64("min-cold-speedup", 0, "fail unless cold verdicts/s beats -hotpath-baseline by this factor (0 = no gate)")
 	)
 	flag.Parse()
 
@@ -128,16 +121,6 @@ func main() {
 			MinDetectionRate:   *minDetectionRate,
 			MaxMedianFilesLost: *maxMedianLost,
 		}, *monitorOut)
-		return
-	}
-
-	if *hotpathMode {
-		runHotpathMode(hotpathOptions{
-			N:          *hotpathN,
-			Workers:    *hotpathWorkers,
-			Baseline:   *hotpathBaseline,
-			MinSpeedup: *minColdSpeedup,
-		}, *hotpathOut)
 		return
 	}
 

@@ -136,57 +136,3 @@ func TestBenchCampaignColdWarm(t *testing.T) {
 			report.ColdUncachedVerdictsPerS, report.Cold.VerdictsPerS)
 	}
 }
-
-// The -hotpath pipeline end to end, sized small: every stage measured,
-// every verdict cold, no errors. The real gate values are exercised by
-// make bench-hotpath; here we only check the measurement machinery.
-func TestBenchHotpath(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hotpath micro-benchmarks take a few seconds")
-	}
-	report, err := benchHotpath(hotpathOptions{N: 16, Workers: 1, Baseline: 90})
-	if err != nil {
-		t.Fatalf("benchHotpath: %v", err)
-	}
-	if report.ColdErrors != 0 {
-		t.Fatalf("cold pipeline reported %d errors", report.ColdErrors)
-	}
-	if report.ColdVerdictsPerS <= 0 || report.ColdWallS <= 0 {
-		t.Fatalf("cold pipeline unmeasured: %+v", report)
-	}
-	if report.ColdSpeedup != report.ColdVerdictsPerS/90 {
-		t.Fatalf("speedup %.2f does not match rate %.1f over baseline 90", report.ColdSpeedup, report.ColdVerdictsPerS)
-	}
-	for name, m := range map[string]MicroBench{
-		"clone":   report.Clone,
-		"record":  report.Record,
-		"marshal": report.Marshal,
-		"put":     report.StorePutBatched,
-	} {
-		if m.NsPerOp <= 0 {
-			t.Errorf("%s stage unmeasured: %+v", name, m)
-		}
-	}
-	// The stage budgets the gate enforces must hold here too — a failure
-	// in this test is the same regression make bench-hotpath would catch.
-	// (Not under the race detector, which defeats sync.Pool reuse on
-	// purpose and makes the pooled budgets unmeasurable.)
-	if raceEnabled {
-		return
-	}
-	if report.Clone.AllocsPerOp > budgetCloneAllocs {
-		t.Errorf("clone allocs %.1f over budget %d", report.Clone.AllocsPerOp, budgetCloneAllocs)
-	}
-	if report.Record.AllocsPerOp > budgetRecordAllocs {
-		t.Errorf("record allocs %.2f over budget %.1f", report.Record.AllocsPerOp, budgetRecordAllocs)
-	}
-	if report.Marshal.AllocsPerOp > budgetMarshalAllocs {
-		t.Errorf("marshal allocs %.1f over budget %d", report.Marshal.AllocsPerOp, budgetMarshalAllocs)
-	}
-	if report.StorePutBatched.AllocsPerOp > budgetPutAllocs {
-		t.Errorf("batched put allocs %.2f over budget %d", report.StorePutBatched.AllocsPerOp, budgetPutAllocs)
-	}
-	if !strings.Contains(report.String(), "cold:") {
-		t.Errorf("report rendering missing cold line: %s", report)
-	}
-}

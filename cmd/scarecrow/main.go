@@ -18,7 +18,6 @@ import (
 	"scarecrow/internal/core"
 	"scarecrow/internal/malware"
 	"scarecrow/internal/trace"
-	"scarecrow/internal/winapi"
 	"scarecrow/internal/winsim"
 )
 
@@ -27,7 +26,7 @@ func main() {
 	profile := flag.String("profile", string(winsim.ProfileEndUser), "machine profile")
 	seed := flag.Int64("seed", 42, "deterministic seed")
 	list := flag.Bool("list", false, "list available specimens and exit")
-	traceOut := flag.String("trace", "", "write the protected run's kernel trace (JSON lines) to this file")
+	traceOut := flag.String("trace", "", "write the reported protected run's sample-subtree kernel trace (JSON lines) to this file")
 	configPath := flag.String("config", "", "JSON deployment configuration (see core.FileConfig)")
 	flag.Parse()
 
@@ -56,7 +55,7 @@ func main() {
 		Config:  cfg,
 		DB:      db,
 	}
-	res := lab.RunSample(spec, 1)
+	res, events := lab.RunSampleTraced(spec, *seed^1)
 
 	fmt.Printf("sample %s (%s) on %s\n", spec.ID, spec.Family, *profile)
 	fmt.Printf("  notes:             %s\n", spec.Notes)
@@ -78,7 +77,7 @@ func main() {
 		fmt.Printf("  ALERT: %s\n", alert)
 	}
 	if *traceOut != "" {
-		if err := dumpTrace(*traceOut, lab, spec); err != nil {
+		if err := writeTrace(*traceOut, events); err != nil {
 			fmt.Fprintln(os.Stderr, "scarecrow:", err)
 			os.Exit(1)
 		}
@@ -86,27 +85,18 @@ func main() {
 	}
 }
 
-// dumpTrace re-runs the sample under Scarecrow and archives the full
-// kernel trace as JSON lines (the Figure 3 proxy format).
-func dumpTrace(path string, lab *analysis.Lab, spec *malware.Specimen) error {
-	m := winsim.NewProfileMachine(lab.Profile, lab.Seed)
-	sys := winapi.NewSystem(m)
-	spec.Register(sys)
-	m.FS.Touch(spec.Image, 180<<10)
-	ctrl, err := core.Deploy(sys, core.NewEngine(core.NewDB(), lab.Config))
-	if err != nil {
-		return err
-	}
-	if _, err := ctrl.LaunchTarget(spec.Image, spec.ID); err != nil {
-		return err
-	}
-	sys.Run(analysis.ObservationWindow)
+// writeTrace archives the reported protected run's sample-subtree kernel
+// events as JSON lines (the Figure 3 proxy format).
+func writeTrace(path string, events []trace.Event) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return trace.WriteJSONL(f, m.Tracer.Events())
+	if err := trace.WriteJSONL(f, events); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // resolve looks the sample up in the shared specimen catalog

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -198,7 +199,7 @@ func TestCaseStudies(t *testing.T) {
 	// Kasidet self-deactivates on this end-user machine even without
 	// Scarecrow (the VMware vmnet MAC), so its raw run shows nothing to
 	// suppress; run it through the bare-metal lab instead.
-	res := NewLab(7).RunSample(malware.Kasidet(), 1)
+	res := NewLab(7).RunSampleSeeded(malware.Kasidet(), 7^1)
 	if !res.Verdict.Deactivated {
 		t.Error("Kasidet not deactivated on bare metal")
 	}
@@ -227,7 +228,7 @@ func TestHookOverheadShape(t *testing.T) {
 func TestMitigationAlertsSurface(t *testing.T) {
 	lab := NewLab(42)
 	spawner := malware.CorpusSelfSpawner()
-	res := lab.RunSample(spawner, 1)
+	res := lab.RunSampleSeeded(spawner, lab.Seed^1)
 	if len(res.Protected.Alerts) == 0 {
 		t.Error("no mitigation alert for the 474-spawn exemplar")
 	}
@@ -244,7 +245,7 @@ func TestProfileIsolationDefeatsDetector(t *testing.T) {
 	detector := malware.ScarecrowAware()
 
 	stock := NewLab(42)
-	res := stock.RunSample(detector, 1)
+	res := stock.RunSampleSeeded(detector, stock.Seed^1)
 	if res.Verdict.Deactivated {
 		t.Error("stock Scarecrow should be unmasked by conflicting vendors")
 	}
@@ -254,7 +255,7 @@ func TestProfileIsolationDefeatsDetector(t *testing.T) {
 
 	isolated := NewLab(42)
 	isolated.Config.ProfileIsolation = true
-	res = isolated.RunSample(detector, 1)
+	res = isolated.RunSampleSeeded(detector, isolated.Seed^1)
 	if !res.Verdict.Deactivated {
 		t.Error("profile isolation should deactivate the detector")
 	}
@@ -348,13 +349,20 @@ func TestEvasionBaseline(t *testing.T) {
 	if rate := report.EvasionRate(); rate < 75 {
 		t.Errorf("sandbox evasion rate = %.1f%%, want the large majority (paper cites >80%% of malware evading)", rate)
 	}
+	// Exact per-rig counts at seed 42 pin the rig runner: a change to how
+	// a rig machine is built or prepared shows up here.
+	wantPerRig := map[string]int{"debugger-rig": 127, "emulator-guest": 52, "sandboxie-rig": 78}
+	if report.Samples != 151 || report.EvadedSandbox != 133 || !reflect.DeepEqual(report.PerRig, wantPerRig) {
+		t.Errorf("baseline = %d/%d evaded, per rig %v; want 133/151, per rig %v",
+			report.EvadedSandbox, report.Samples, report.PerRig, wantPerRig)
+	}
 }
 
 // TestToolKillerStoppedByProtectedDecoys exercises §II-B(b)'s process
 // protection: the tool-killing sample acts freely on a clean host but
 // stands down when Scarecrow's decoy forensic tools refuse to die.
 func TestToolKillerStoppedByProtectedDecoys(t *testing.T) {
-	res := NewLab(42).RunSample(malware.ToolKiller(), 1)
+	res := NewLab(42).RunSampleSeeded(malware.ToolKiller(), 42^1)
 	if res.Verdict.RawMutations == 0 {
 		t.Fatal("tool killer inert without Scarecrow")
 	}
@@ -388,17 +396,17 @@ func TestToolKillerVerdictDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunCorpusParallelConsistency: the parallel cluster produces exactly
+// TestSweepParallelConsistency: the parallel cluster produces exactly
 // the results a one-worker cluster does (each run owns its machine, so
 // parallelism must not perturb verdicts).
-func TestRunCorpusParallelConsistency(t *testing.T) {
+func TestSweepParallelConsistency(t *testing.T) {
 	corpus := malware.MalGeneCorpus()[:40]
 	serial := NewLab(42)
 	serial.Workers = 1
 	parallel := NewLab(42)
 	parallel.Workers = 8
-	a := serial.RunCorpus(corpus)
-	b := parallel.RunCorpus(corpus)
+	a, _ := serial.Sweep(corpus)
+	b, _ := parallel.Sweep(corpus)
 	for i := range a {
 		va, vb := a[i].Verdict, b[i].Verdict
 		if va.Deactivated != vb.Deactivated || va.SpawnLoop != vb.SpawnLoop ||
@@ -565,6 +573,16 @@ func TestSignatureSurvey(t *testing.T) {
 	}
 	if s := survey.String(); !strings.Contains(s, "signature survey") {
 		t.Error("rendering")
+	}
+	// Exact histograms at seed 42 pin the rig runner's event streams.
+	wantKind := map[string]int{"APICall": 90, "DNSQuery": 2, "FileQuery": 5, "WindowQuery": 1}
+	wantAPI := map[string]int{"GetModuleHandle": 4, "GlobalMemoryStatusEx": 5, "IsDebuggerPresent": 81}
+	if survey.Samples != 106 || survey.Extracted != 98 || survey.Learned != 5 {
+		t.Errorf("survey = %d samples, %d extracted, %d learned; want 106, 98, 5",
+			survey.Samples, survey.Extracted, survey.Learned)
+	}
+	if !reflect.DeepEqual(survey.ByKind, wantKind) || !reflect.DeepEqual(survey.ByAPI, wantAPI) {
+		t.Errorf("survey kinds %v, APIs %v; want %v, %v", survey.ByKind, survey.ByAPI, wantKind, wantAPI)
 	}
 }
 

@@ -77,36 +77,22 @@ func RunBenign(seed int64) (BenignReport, error) {
 	return report, nil
 }
 
+// runBenignProgram installs and operates one program on a fresh end-user
+// machine, under the stock Scarecrow deployment when protected.
 func runBenignProgram(p benign.Program, seed int64, protected bool) (bool, trace.Summary, error) {
 	m := winsim.NewEndUserMachine(seed)
 	benign.ProvisionDomains(m, []benign.Program{p})
-	sys := winapi.NewSystem(m)
 	ok := false
-	sys.RegisterProgram(p.InstallerImage, func(ctx *winapi.Context) int {
+	body := func(ctx *winapi.Context) int {
 		ok = p.Run(ctx)
 		return winapi.ExitOK
-	})
-	m.FS.Touch(p.InstallerImage, 40<<20)
-	var rootPID int
-	if protected {
-		ctrl, err := core.Deploy(sys, core.NewEngine(core.NewDB(), core.RecommendedConfig(m.Profile)))
-		if err != nil {
-			return false, trace.Summary{}, fmt.Errorf("analysis: deploying scarecrow for %s: %w", p.Name, err)
-		}
-		root, err := ctrl.LaunchTarget(p.InstallerImage, p.Name)
-		if err != nil {
-			return false, trace.Summary{}, fmt.Errorf("analysis: launching %s: %w", p.Name, err)
-		}
-		rootPID = root.PID
-	} else {
-		shell, err := agentProcess(m)
-		if err != nil {
-			return false, trace.Summary{}, err
-		}
-		rootPID = sys.Launch(p.InstallerImage, p.Name, shell).PID
 	}
-	sys.Run(ObservationWindow)
-	return ok, subtreeSummary(m, rootPID), nil
+	var engine *core.Engine
+	if protected {
+		engine = core.NewEngine(core.NewDB(), core.RecommendedConfig(m.Profile))
+	}
+	ex, err := execute(winapi.NewSystem(m), program{image: p.InstallerImage, name: p.Name, body: body, size: 40 << 20}, engine, nil, nil)
+	return ok, ex.Summary, err
 }
 
 // CaseStudyReport is the Case I / Case II outcome for one case-study
@@ -138,7 +124,7 @@ func RunCaseStudy(s *malware.Specimen, seed int64) (CaseStudyReport, error) {
 		Seed:    seed,
 		Config:  core.RecommendedConfig(string(winsim.ProfileEndUser)),
 	}
-	res := lab.RunSample(s, 1)
+	res := lab.RunSampleSeeded(s, seed^1)
 	if res.Err != nil {
 		return CaseStudyReport{}, res.Err
 	}

@@ -24,7 +24,7 @@ func faultAt(index, attempt int, plan winsim.FaultPlan) func(int, int) *winsim.F
 // The tentpole guarantee: one injected machine fault fails exactly its own
 // run; the other nine samples produce verdicts identical to a fault-free
 // sweep, and the health report accounts for the loss.
-func TestRunCorpusSurvivesWorkerPanic(t *testing.T) {
+func TestSweepSurvivesWorkerPanic(t *testing.T) {
 	corpus := malware.MalGeneCorpus()[:10]
 
 	faulted := NewLab(42)
@@ -202,7 +202,7 @@ func TestAgentProcessMissingAgent(t *testing.T) {
 func TestRunSampleStrippedProfileIsContained(t *testing.T) {
 	lab := NewLab(1)
 	lab.Profile = winsim.ProfileName("stripped")
-	res := lab.RunSample(malware.MalGeneCorpus()[0], 1)
+	res := lab.RunSampleSeeded(malware.MalGeneCorpus()[0], lab.Seed^1)
 	if res.Err == nil {
 		t.Fatal("run on a stripped profile must record an error")
 	}

@@ -24,7 +24,7 @@ func TestCoverageKeysFromRealRun(t *testing.T) {
 	if spec == nil {
 		t.Fatal("no checked specimen in corpus")
 	}
-	res := lab.RunSample(spec, 1)
+	res := lab.RunSampleSeeded(spec, lab.Seed^1)
 	if res.Err != nil {
 		t.Fatalf("run: %v", res.Err)
 	}

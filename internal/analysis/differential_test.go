@@ -96,8 +96,8 @@ func TestPooledRunDeterminism(t *testing.T) {
 	lab := NewLab(42)
 	property := func(sampleIdx uint16, seed int64) bool {
 		s := corpus[int(sampleIdx)%len(corpus)]
-		a := lab.RunSample(s, seed)
-		b := lab.RunSample(s, seed)
+		a := lab.RunSampleSeeded(s, seed)
+		b := lab.RunSampleSeeded(s, seed)
 		return reflect.DeepEqual(a, b)
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 15}); err != nil {

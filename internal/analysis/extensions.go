@@ -45,8 +45,8 @@ func KernelExtension(seed int64) KernelExtensionReport {
 	}
 	report := KernelExtensionReport{Samples: len(directSamples)}
 
-	user := NewLab(seed)
-	for _, res := range user.RunCorpus(directSamples) {
+	user, _ := NewLab(seed).Sweep(directSamples)
+	for _, res := range user {
 		if res.Verdict.Deactivated {
 			report.DeactivatedUserOnly++
 		}
@@ -54,7 +54,8 @@ func KernelExtension(seed int64) KernelExtensionReport {
 
 	kernel := NewLab(seed)
 	kernel.Config.KernelHooks = true
-	for _, res := range kernel.RunCorpus(directSamples) {
+	gated, _ := kernel.Sweep(directSamples)
+	for _, res := range gated {
 		if res.Verdict.Deactivated {
 			report.DeactivatedWithGate++
 		} else {
@@ -101,13 +102,13 @@ func EvasionBaseline(samples []*malware.Specimen, seed int64) (EvasionBaselineRe
 	report := EvasionBaselineReport{Samples: len(samples), PerRig: make(map[string]int)}
 	rigs := analysisRigs()
 	for i, s := range samples {
-		ref, err := rawOn(nil, s, seed+int64(i))
+		ref, err := runOnRig(nil, s, seed+int64(i), nil)
 		if err != nil {
 			return EvasionBaselineReport{}, err
 		}
 		evaded := false
 		for _, rig := range rigs {
-			inRig, err := rawOn(rig.prepare, s, seed+int64(i))
+			inRig, err := runOnRig(&rig, s, seed+int64(i), nil)
 			if err != nil {
 				return EvasionBaselineReport{}, err
 			}
@@ -168,30 +169,24 @@ func analysisRigs() []rig {
 	}
 }
 
-// rawOn runs a sample on a fresh Cuckoo-guest machine with an optional
-// rig mutator (nil = the clean bare-metal reference).
-func rawOn(prepare func(*winsim.Machine, *winsim.Process), s *malware.Specimen, seed int64) (trace.Summary, error) {
+// runOnRig runs a sample raw on a fresh analysis rig: a freshly reverted
+// Cuckoo guest with the rig's mutator applied after launch, or the clean
+// bare-metal reference when r is nil. events, when non-nil, receives the
+// sample subtree's raw event stream (trace alignment needs events rather
+// than summaries).
+func runOnRig(r *rig, s *malware.Specimen, seed int64, events *[]trace.Event) (trace.Summary, error) {
 	var m *winsim.Machine
-	if prepare == nil {
+	var prepare func(*winsim.Machine, *winsim.Process)
+	if r == nil {
 		m = winsim.NewCleanBareMetal(seed)
 	} else {
 		m = winsim.NewCuckooSandbox(seed, false)
 		// Freshly reverted guest: minutes of uptime.
 		m.Clock = winsim.NewClock(3*60*1e9, 2.6)
+		prepare = r.prepare
 	}
-	sys := winapi.NewSystem(m)
-	s.Register(sys)
-	m.FS.Touch(s.Image, 180<<10)
-	parent, err := agentProcess(m)
-	if err != nil {
-		return trace.Summary{}, err
-	}
-	root := sys.Launch(s.Image, s.ID, parent)
-	if prepare != nil {
-		prepare(m, root)
-	}
-	sys.Run(ObservationWindow)
-	return subtreeSummary(m, root.PID), nil
+	ex, err := execute(winapi.NewSystem(m), specimenProgram(s), nil, prepare, events)
+	return ex.Summary, err
 }
 
 // TierOutcome is one deployment tier's result over the residual corpus.
@@ -222,9 +217,9 @@ func (r FullStackReport) String() string {
 // FullStack runs the residual samples through the three deployment tiers.
 func FullStack(seed int64) FullStackReport {
 	// The residual set: everything the stock lab does not deactivate.
-	stock := NewLab(seed)
+	stock, _ := NewLab(seed).Sweep(malware.MalGeneCorpus())
 	var residual []*malware.Specimen
-	for _, res := range stock.RunCorpus(malware.MalGeneCorpus()) {
+	for _, res := range stock {
 		if !res.Verdict.Deactivated {
 			residual = append(residual, res.Specimen)
 		}
@@ -234,8 +229,9 @@ func FullStack(seed int64) FullStackReport {
 	run := func(tier string, mutate func(*Lab)) {
 		lab := NewLab(seed)
 		mutate(lab)
+		results, _ := lab.Sweep(residual)
 		n := 0
-		for _, res := range lab.RunCorpus(residual) {
+		for _, res := range results {
 			if res.Verdict.Deactivated {
 				n++
 			}

@@ -57,30 +57,18 @@ func (r Table2Report) String() string {
 // pafishOn runs the Pafish battery on a machine profile, optionally under
 // Scarecrow.
 func pafishOn(profile winsim.ProfileName, seed int64, protected bool) (pafish.Report, error) {
-	m := winsim.NewProfileMachine(profile, seed)
-	sys := winapi.NewSystem(m)
 	var report pafish.Report
-	sys.RegisterProgram(`C:\pafish\pafish.exe`, func(ctx *winapi.Context) int {
+	body := func(ctx *winapi.Context) int {
 		report = pafish.Run(ctx)
 		return winapi.ExitOK
-	})
-	if protected {
-		ctrl, err := core.Deploy(sys, core.NewEngine(core.NewDB(), core.RecommendedConfig(string(profile))))
-		if err != nil {
-			return pafish.Report{}, fmt.Errorf("analysis: deploying scarecrow on %s: %w", profile, err)
-		}
-		if _, err := ctrl.LaunchTarget(`C:\pafish\pafish.exe`, "pafish.exe"); err != nil {
-			return pafish.Report{}, fmt.Errorf("analysis: launching pafish: %w", err)
-		}
-	} else {
-		shells := m.Procs.FindByImage("explorer.exe")
-		if len(shells) == 0 {
-			return pafish.Report{}, fmt.Errorf("analysis: profile %q has no explorer.exe to launch pafish from", profile)
-		}
-		sys.Launch(`C:\pafish\pafish.exe`, "pafish.exe", shells[0])
 	}
-	sys.Run(ObservationWindow)
-	return report, nil
+	var engine *core.Engine
+	if protected {
+		engine = core.NewEngine(core.NewDB(), core.RecommendedConfig(string(profile)))
+	}
+	sys := winapi.NewSystem(winsim.NewProfileMachine(profile, seed))
+	_, err := execute(sys, program{image: `C:\pafish\pafish.exe`, name: "pafish.exe", body: body}, engine, nil, nil)
+	return report, err
 }
 
 // Table2 reproduces the Table II experiment. The with-Scarecrow VM column
@@ -172,23 +160,18 @@ func Table3(seed int64) (Table3Report, error) {
 
 	genuine := weartear.ExtractFrom(winsim.NewEndUserMachine(seed))
 
-	m := winsim.NewEndUserMachine(seed)
-	sys := winapi.NewSystem(m)
 	var deceived []float64
-	sys.RegisterProgram(`C:\weartear\prober.exe`, func(ctx *winapi.Context) int {
+	body := func(ctx *winapi.Context) int {
 		deceived = weartear.Vector(ctx)
 		return winapi.ExitOK
-	})
-	cfg := core.RecommendedConfig(m.Profile)
+	}
+	cfg := core.RecommendedConfig(string(winsim.ProfileEndUser))
 	cfg.WearAndTear = true
-	ctrl, err := core.Deploy(sys, core.NewEngine(core.NewDB(), cfg))
-	if err != nil {
-		return Table3Report{}, fmt.Errorf("analysis: deploying scarecrow: %w", err)
+	sys := winapi.NewSystem(winsim.NewEndUserMachine(seed))
+	prober := program{image: `C:\weartear\prober.exe`, name: "prober.exe", body: body}
+	if _, err := execute(sys, prober, core.NewEngine(core.NewDB(), cfg), nil, nil); err != nil {
+		return Table3Report{}, err
 	}
-	if _, err := ctrl.LaunchTarget(`C:\weartear\prober.exe`, "prober.exe"); err != nil {
-		return Table3Report{}, fmt.Errorf("analysis: launching prober: %w", err)
-	}
-	sys.Run(ObservationWindow)
 
 	report := Table3Report{
 		RawLabel:       tree.Classify(genuine),

@@ -127,59 +127,86 @@ type Execution struct {
 	VirtualTime time.Duration
 }
 
-// runRaw executes the specimen without Scarecrow: the agent (python.exe)
-// launches it, as in the real cluster.
-func (l *Lab) runRaw(s *malware.Specimen, seed int64, plan *winsim.FaultPlan) (Execution, error) {
-	m := l.acquireMachine(seed)
-	if plan != nil {
-		m.ArmFaults(*plan)
+// program is what one execution launches: an image, the body the machine
+// runs for it, and the image's size on disk (0 leaves the disk untouched).
+type program struct {
+	image, name string
+	body        winapi.Program
+	size        int64
+}
+
+// specimenProgram is the lab's view of a malware sample.
+func specimenProgram(s *malware.Specimen) program {
+	return program{image: s.Image, name: s.ID, body: s.Program(), size: 180 << 10}
+}
+
+// execute is the lab's one run primitive: it registers p on sys's machine
+// and launches it — raw under the machine's analysis agent when engine is
+// nil, otherwise under a Scarecrow controller deployed with engine —
+// applies rig (when non-nil) to the launched machine, runs the observation
+// window, and condenses the sample subtree's kernel activity. When events
+// is non-nil it also receives the subtree's raw event stream. The machine
+// is discarded afterwards: its tracer goes back to the pool.
+func execute(sys *winapi.System, p program, engine *core.Engine, rig func(*winsim.Machine, *winsim.Process), events *[]trace.Event) (Execution, error) {
+	m := sys.M
+	sys.RegisterProgram(p.image, p.body)
+	if p.size > 0 {
+		m.FS.Touch(p.image, p.size)
 	}
-	sys := winapi.NewSystem(m)
-	s.Register(sys)
-	m.FS.Touch(s.Image, 180<<10)
-	parent, err := agentProcess(m)
-	if err != nil {
-		return Execution{}, err
+	var ctrl *core.Controller
+	var root *winsim.Process
+	if engine == nil {
+		parent, err := agentProcess(m)
+		if err != nil {
+			return Execution{}, err
+		}
+		root = sys.Launch(p.image, p.name, parent)
+	} else {
+		var err error
+		if ctrl, err = core.Deploy(sys, engine); err != nil {
+			return Execution{}, fmt.Errorf("analysis: deploying scarecrow: %w", err)
+		}
+		if root, err = ctrl.LaunchTarget(p.image, p.name); err != nil {
+			return Execution{}, fmt.Errorf("analysis: launching %s: %w", p.name, err)
+		}
 	}
-	root := sys.Launch(s.Image, s.ID, parent)
+	if rig != nil {
+		rig(m, root)
+	}
 	sys.Run(ObservationWindow)
 	ex := Execution{Summary: subtreeSummary(m, root.PID), VirtualTime: m.Clock.Now()}
-	// The machine is discarded now; recycle its event buffer. Summaries
-	// hold copies, never the recorder's own slice.
+	if ctrl != nil {
+		ex.Triggers = ctrl.Session.Triggers()
+		ex.Alerts = ctrl.Session.Alerts()
+	}
+	if events != nil {
+		desc := subtreeDescendants(m, root.PID)
+		*events = m.Tracer.Filter(func(e trace.Event) bool { return desc.Get(e.PID) })
+	}
+	// Summaries and filtered events are copies, never the recorder's own
+	// slice, so the buffer can be recycled now.
 	m.Tracer.Release()
 	return ex, nil
 }
 
-// runProtected executes the specimen under the Scarecrow controller.
-func (l *Lab) runProtected(s *malware.Specimen, seed int64, plan *winsim.FaultPlan) (Execution, error) {
+// runSpecimen executes the specimen on a freshly reset lab machine, under
+// Scarecrow when protected (the deployment configured by Config and DB)
+// and raw otherwise, as the agent (python.exe) launches it in the real
+// cluster.
+func (l *Lab) runSpecimen(s *malware.Specimen, seed int64, plan *winsim.FaultPlan, protected bool, events *[]trace.Event) (Execution, error) {
 	m := l.acquireMachine(seed)
 	if plan != nil {
 		m.ArmFaults(*plan)
 	}
-	sys := winapi.NewSystem(m)
-	s.Register(sys)
-	m.FS.Touch(s.Image, 180<<10)
-	db := l.DB
-	if db == nil {
-		db = core.NewDB()
+	var engine *core.Engine
+	if protected {
+		db := l.DB
+		if db == nil {
+			db = core.NewDB()
+		}
+		engine = core.NewEngine(db, l.Config)
 	}
-	ctrl, err := core.Deploy(sys, core.NewEngine(db, l.Config))
-	if err != nil {
-		return Execution{}, fmt.Errorf("analysis: deploying scarecrow: %w", err)
-	}
-	root, err := ctrl.LaunchTarget(s.Image, s.ID)
-	if err != nil {
-		return Execution{}, fmt.Errorf("analysis: launching %s: %w", s.ID, err)
-	}
-	sys.Run(ObservationWindow)
-	ex := Execution{
-		Summary:     subtreeSummary(m, root.PID),
-		Triggers:    ctrl.Session.Triggers(),
-		Alerts:      ctrl.Session.Alerts(),
-		VirtualTime: m.Clock.Now(),
-	}
-	m.Tracer.Release()
-	return ex, nil
+	return execute(winapi.NewSystem(m), specimenProgram(s), engine, nil, events)
 }
 
 // agentProcess returns the machine's analysis agent when present (the
@@ -241,36 +268,36 @@ type SampleResult struct {
 	RecoveredPanics int
 }
 
-// RunSample executes a sample with and without Scarecrow on freshly reset
-// machines ("at about the same time", §IV-C) and computes the verdict.
-// Failures — including panics out of the simulation — are contained into
-// the result's Err/Stack fields, never propagated.
-func (l *Lab) RunSample(s *malware.Specimen, runSeed int64) SampleResult {
-	res := l.runContained(s, runSeed, nil)
-	res.Attempts = 1
-	return res
-}
-
-// RunSampleSeeded executes one contained paired run on machines seeded
-// exactly with seed, independent of the lab's own Seed. This is the
-// verdict-service entry point: scarecrowd keys its cache on
-// (specimen, profile, seed), so the machine seed must be a pure function
-// of the request, not of which worker's lab happens to serve it. A Lab is
-// not safe for concurrent use — the service gives each worker its own.
+// RunSampleSeeded executes a sample with and without Scarecrow on freshly
+// reset machines ("at about the same time", §IV-C), both seeded exactly
+// with seed, and computes the verdict. The lab's own Seed plays no part:
+// scarecrowd keys its cache on (specimen, profile, seed), so the machine
+// seed must be a pure function of the request, not of which worker's lab
+// happens to serve it. Failures — including panics out of the simulation
+// — are contained into the result's Err/Stack fields, never propagated.
+// A Lab is not safe for concurrent use — the service gives each worker
+// its own.
 func (l *Lab) RunSampleSeeded(s *malware.Specimen, seed int64) SampleResult {
-	// runContained derives the machine seed as l.Seed^runSeed; cancel the
-	// lab term so the machines see exactly seed.
-	res := l.runContained(s, l.Seed^seed, nil)
-	res.Attempts = 1
-	return res
+	return l.runContained(s, seed, nil, nil)
 }
 
-// runContained is the containment boundary: one paired execution whose
-// panics are recovered into the result. This is the lab's analogue of the
-// scheduler's exitPanic/BudgetExceeded recovery — but for faults nobody
-// sanctioned.
-func (l *Lab) runContained(s *malware.Specimen, runSeed int64, plan *winsim.FaultPlan) (res SampleResult) {
+// RunSampleTraced is RunSampleSeeded that also returns the kernel events of
+// the protected execution's sample subtree: the very events
+// Protected.Summary condenses, for archiving the reported run.
+func (l *Lab) RunSampleTraced(s *malware.Specimen, seed int64) (SampleResult, []trace.Event) {
+	var events []trace.Event
+	res := l.runContained(s, seed, nil, &events)
+	return res, events
+}
+
+// runContained is the containment boundary: one paired execution on
+// machines seeded with seed, whose panics are recovered into the result.
+// This is the lab's analogue of the scheduler's exitPanic/BudgetExceeded
+// recovery — but for faults nobody sanctioned. events, when non-nil,
+// receives the protected execution's subtree events.
+func (l *Lab) runContained(s *malware.Specimen, seed int64, plan *winsim.FaultPlan, events *[]trace.Event) (res SampleResult) {
 	res.Specimen = s
+	res.Attempts = 1
 	defer func() {
 		if r := recover(); r != nil {
 			res.Err = fmt.Errorf("analysis: run of %s panicked: %v", s.ID, r)
@@ -279,13 +306,13 @@ func (l *Lab) runContained(s *malware.Specimen, runSeed int64, plan *winsim.Faul
 			res.Verdict = Verdict{Category: VerdictError}
 		}
 	}()
-	raw, err := l.runRaw(s, l.Seed^runSeed, plan)
+	raw, err := l.runSpecimen(s, seed, plan, false, nil)
 	if err != nil {
 		res.Err = err
 		res.Verdict = Verdict{Category: VerdictError}
 		return res
 	}
-	prot, err := l.runProtected(s, l.Seed^runSeed, plan)
+	prot, err := l.runSpecimen(s, seed, plan, true, events)
 	if err != nil {
 		res.Err = err
 		res.Verdict = Verdict{Category: VerdictError}
@@ -306,21 +333,6 @@ func (l *Lab) runContained(s *malware.Specimen, runSeed int64, plan *winsim.Faul
 // retrySeedSalt derives the second-attempt run seed: a re-imaged cluster
 // node is a different machine, but a reproducibly different one.
 const retrySeedSalt = 0x5ca3ec40
-
-// runIndexed executes corpus position i, applying the lab's fault plan and
-// retry policy.
-func (l *Lab) runIndexed(i int, s *malware.Specimen) SampleResult {
-	runSeed := int64(i + 1)
-	res := l.runContained(s, runSeed, l.planFor(i, 1))
-	res.Attempts = 1
-	if res.Err != nil && l.RetryFailures {
-		retry := l.runContained(s, runSeed^retrySeedSalt, l.planFor(i, 2))
-		retry.Attempts = 2
-		retry.RecoveredPanics += res.RecoveredPanics
-		res = retry
-	}
-	return res
-}
 
 func (l *Lab) planFor(index, attempt int) *winsim.FaultPlan {
 	if l.FaultPlanFor == nil {
@@ -388,7 +400,17 @@ func (l *Lab) Sweep(samples []*malware.Specimen) ([]SampleResult, RunReport) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results[i] = l.runIndexed(i, samples[i])
+				// Corpus position i runs on machine seed Seed^(i+1),
+				// under the lab's fault plan and retry policy.
+				runSeed := int64(i + 1)
+				res := l.runContained(samples[i], l.Seed^runSeed, l.planFor(i, 1), nil)
+				if res.Err != nil && l.RetryFailures {
+					retry := l.runContained(samples[i], l.Seed^runSeed^retrySeedSalt, l.planFor(i, 2), nil)
+					retry.Attempts = 2
+					retry.RecoveredPanics += res.RecoveredPanics
+					res = retry
+				}
+				results[i] = res
 			}
 		}()
 	}
@@ -413,11 +435,4 @@ func (l *Lab) Sweep(samples []*malware.Specimen) ([]SampleResult, RunReport) {
 		report.Virtual += res.Raw.VirtualTime + res.Protected.VirtualTime
 	}
 	return results, report
-}
-
-// RunCorpus evaluates many samples in parallel, discarding the health
-// report. Results keep corpus order.
-func (l *Lab) RunCorpus(samples []*malware.Specimen) []SampleResult {
-	results, _ := l.Sweep(samples)
-	return results
 }

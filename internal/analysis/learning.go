@@ -9,8 +9,6 @@ import (
 	"scarecrow/internal/malgene"
 	"scarecrow/internal/malware"
 	"scarecrow/internal/trace"
-	"scarecrow/internal/winapi"
-	"scarecrow/internal/winsim"
 )
 
 // SignatureSurvey is the §II-C learning pipeline run at corpus scale:
@@ -65,16 +63,16 @@ func SurveySignatures(samples []*malware.Specimen, seed int64) (SignatureSurvey,
 		ByAPI:   make(map[string]int),
 	}
 	db := core.NewDB()
+	rigs := analysisRigs()
 	for i, s := range samples {
-		exposed, err := rawEvents(nil, s, seed+int64(i))
-		if err != nil {
+		var exposed, evaded []trace.Event
+		if _, err := runOnRig(nil, s, seed+int64(i), &exposed); err != nil {
 			return SignatureSurvey{}, err
 		}
 		var sig malgene.Signature
 		found := false
-		for _, r := range analysisRigs() {
-			evaded, err := rawEvents(r.prepare, s, seed+int64(i))
-			if err != nil {
+		for _, rig := range rigs {
+			if _, err := runOnRig(&rig, s, seed+int64(i), &evaded); err != nil {
 				return SignatureSurvey{}, err
 			}
 			if got, ok := malgene.ExtractSignature(evaded, exposed); ok {
@@ -95,32 +93,4 @@ func SurveySignatures(samples []*malware.Specimen, seed int64) (SignatureSurvey,
 		}
 	}
 	return survey, nil
-}
-
-// rawEvents runs a sample without Scarecrow and returns its subtree's raw
-// event stream (for trace alignment, which needs events rather than
-// summaries). Attribution walks parent links, like subtreeSummary: a PID
-// threshold would misattribute events of unrelated processes created after
-// the sample.
-func rawEvents(prepare func(*winsim.Machine, *winsim.Process), s *malware.Specimen, seed int64) ([]trace.Event, error) {
-	var m *winsim.Machine
-	if prepare == nil {
-		m = winsim.NewCleanBareMetal(seed)
-	} else {
-		m = winsim.NewCuckooSandbox(seed, false)
-	}
-	sys := winapi.NewSystem(m)
-	s.Register(sys)
-	m.FS.Touch(s.Image, 180<<10)
-	parent, err := agentProcess(m)
-	if err != nil {
-		return nil, err
-	}
-	root := sys.Launch(s.Image, s.ID, parent)
-	if prepare != nil {
-		prepare(m, root)
-	}
-	sys.Run(ObservationWindow)
-	desc := subtreeDescendants(m, root.PID)
-	return m.Tracer.Filter(func(e trace.Event) bool { return desc.Get(e.PID) }), nil
 }

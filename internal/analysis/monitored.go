@@ -71,36 +71,26 @@ func (l *Lab) RunMonitoredSeeded(s *malware.Specimen, seed int64, opts MonitorOp
 		return res
 	}
 	sys := winapi.NewSystem(m)
-	s.Register(sys)
-	m.FS.Touch(s.Image, 180<<10)
-	parent, err := agentProcess(m)
-	if err != nil {
-		res.Err = err
-		return res
-	}
 	mon := deter.NewMonitor(m, plan, deter.MonitorConfig{
 		Action:        opts.Action,
 		Detector:      opts.Detector,
 		ThrottleDelay: opts.ThrottleDelay,
 		OnDetection:   opts.OnDetection,
 	})
+	// The recorder drops the tap when execute releases it.
 	m.Tracer.Tap(mon.Observe)
 	sys.Enforcer = mon.Enforce
-
-	sys.Launch(s.Image, s.ID, parent)
-	sys.Run(ObservationWindow)
-
-	res.Outcome = mon.Outcome()
-	res.VirtualTime = m.Clock.Now()
-	switch {
-	case res.Outcome.Deterred:
-		res.Category = VerdictDeterred
-	default:
-		res.Category = VerdictSurvived
+	ex, err := execute(sys, specimenProgram(s), nil, nil, nil)
+	if err != nil {
+		res.Err = err
+		return res
 	}
-	res.Err = nil
-	m.Tracer.Tap(nil)
-	m.Tracer.Release()
+	res.Outcome = mon.Outcome()
+	res.VirtualTime = ex.VirtualTime
+	res.Category = VerdictSurvived
+	if res.Outcome.Deterred {
+		res.Category = VerdictDeterred
+	}
 	return res
 }
 

@@ -2,12 +2,44 @@ package lint
 
 import (
 	"fmt"
+	"go/token"
+	"go/types"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// The standard-library importer, with the FileSet its positions live in,
+// is built once per test binary: type-checking std from GOROOT sources is
+// most of a load's cost, and std never changes under a test. Module and
+// fixture packages still load afresh on every newTestLoader.
+var (
+	stdOnce sync.Once
+	stdFset *token.FileSet
+	stdImp  types.Importer
+)
+
+// newTestLoader returns a fresh loader for the enclosing module that shares
+// the test binary's standard-library importer. Like any Loader it is not
+// safe for concurrent use, and neither is the shared importer: tests that
+// call it must not run in parallel.
+func newTestLoader(t *testing.T) *Loader {
+	t.Helper()
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatalf("locating module root: %v", err)
+	}
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatalf("building loader: %v", err)
+	}
+	stdOnce.Do(func() { stdFset, stdImp = loader.Fset, loader.std })
+	loader.Fset, loader.std = stdFset, stdImp
+	return loader
+}
 
 // RunFixture loads the fixture package under testdata/<fixture> as if it
 // had the given import path, runs one analyzer over it, and compares the
@@ -26,14 +58,7 @@ import (
 // no diagnostics.
 func RunFixture(t *testing.T, a *Analyzer, fixture, importPath string) {
 	t.Helper()
-	moduleRoot, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("locating module root: %v", err)
-	}
-	loader, err := NewLoader(moduleRoot)
-	if err != nil {
-		t.Fatalf("building loader: %v", err)
-	}
+	loader := newTestLoader(t)
 	dir, err := filepath.Abs(filepath.Join("testdata", fixture))
 	if err != nil {
 		t.Fatalf("resolving fixture dir: %v", err)

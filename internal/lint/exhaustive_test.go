@@ -9,14 +9,7 @@ func TestExhaustiveFixture(t *testing.T) {
 // The real targets the analyzer exists for must be clean: winapi's
 // Status.String switch and trace's kindNames map both cover their enums.
 func TestExhaustiveRealTargets(t *testing.T) {
-	moduleRoot, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("locating module root: %v", err)
-	}
-	loader, err := NewLoader(moduleRoot)
-	if err != nil {
-		t.Fatalf("building loader: %v", err)
-	}
+	loader := newTestLoader(t)
 	for _, path := range []string{
 		"scarecrow/internal/winapi",
 		"scarecrow/internal/trace",

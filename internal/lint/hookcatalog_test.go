@@ -11,14 +11,7 @@ func TestHookCatalog(t *testing.T) {
 // sync with winapi's catalog and the engine's handler table, with zero
 // findings.
 func TestHookCatalogOnRealEngine(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader := newTestLoader(t)
 	for _, path := range []string{"scarecrow/internal/core", "scarecrow/internal/winapi"} {
 		pkg, err := loader.Load(path)
 		if err != nil {

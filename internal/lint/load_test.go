@@ -5,19 +5,6 @@ import (
 	"testing"
 )
 
-func newTestLoader(t *testing.T) *Loader {
-	t.Helper()
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return loader
-}
-
 func TestLoaderTypeChecksModulePackages(t *testing.T) {
 	loader := newTestLoader(t)
 	pkg, err := loader.Load("scarecrow/internal/winapi")

@@ -15,14 +15,7 @@ func TestLockFieldOutOfScope(t *testing.T) {
 
 // The real concurrent packages must already satisfy their own invariant.
 func TestLockFieldCleanOnScope(t *testing.T) {
-	moduleRoot, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("locating module root: %v", err)
-	}
-	loader, err := NewLoader(moduleRoot)
-	if err != nil {
-		t.Fatalf("building loader: %v", err)
-	}
+	loader := newTestLoader(t)
 	for _, path := range LockFieldScope {
 		pkg, err := loader.Load(path)
 		if err != nil {

@@ -6,10 +6,22 @@ import (
 )
 
 // Two runs over the same packages must produce identical diagnostics —
-// no map order may leak nondeterminism into the output.
+// no map order may leak nondeterminism into the output. The first two runs
+// use fully fresh loaders, each type-checking std on its own; the rest
+// share the test binary's std importer.
 func TestRunIsDeterministic(t *testing.T) {
-	run := func() []Diagnostic {
-		loader := newTestLoader(t)
+	freshLoader := func() *Loader {
+		root, err := FindModuleRoot(".")
+		if err != nil {
+			t.Fatal(err)
+		}
+		loader, err := NewLoader(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loader
+	}
+	run := func(loader *Loader) []Diagnostic {
 		loader.AddPackageDir("scarecrow/internal/service/lintfixture", fixtureDir(t, "maporder"))
 		pkg, err := loader.Load("scarecrow/internal/service/lintfixture")
 		if err != nil {
@@ -21,12 +33,12 @@ func TestRunIsDeterministic(t *testing.T) {
 		}
 		return diags
 	}
-	first := run()
+	first := run(freshLoader())
 	if len(first) == 0 {
 		t.Fatal("expected findings from the maporder fixture")
 	}
-	for i := 0; i < 3; i++ {
-		if again := run(); !reflect.DeepEqual(first, again) {
+	for i, loader := range []*Loader{freshLoader(), newTestLoader(t), newTestLoader(t)} {
+		if again := run(loader); !reflect.DeepEqual(first, again) {
 			t.Fatalf("run %d differs:\n%v\nvs\n%v", i+2, again, first)
 		}
 	}

@@ -9,9 +9,9 @@
 #                         be at least 1.5x faster than the cold pass.
 #                         (The margin is deliberately modest: the cold
 #                         path is now within a small factor of replay
-#                         speed — see BENCH_hotpath.json — so a large
-#                         warm/cold ratio would mean the cold path
-#                         regressed, not that the cache is healthy.)
+#                         speed — see perfbench's corpus-cold workload —
+#                         so a large warm/cold ratio would mean the cold
+#                         path regressed, not that the cache is healthy.)
 #   3. SIGKILL recovery — commit a verdict, launch a campaign, kill -9
 #                         the daemon mid-sweep, restart it on the same
 #                         data dir, and require the committed verdict to
