@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test alloc-budgets perfbench-test vet lint race store-race front-repeat cover fuzz-smoke service-smoke front-smoke monitor-smoke bench-synth bench-monitor synth-smoke generate generate-check hooks ci
+.PHONY: build test alloc-budgets perfbench-test vet lint race store-race front-repeat cover fuzz-smoke service-smoke front-smoke monitor-smoke synth-smoke generate generate-check hooks ci
 
 build:
 	$(GO) build ./...
@@ -94,22 +94,16 @@ generate-check: generate
 # the planted camouflage gap (reboot-restore conjunction) is rediscovered
 # by the fuzzer and delta-debugged to its one-leaf core, and every gap
 # fixture under internal/synth/testdata/gaps replays deactivated against
-# the stock DB (i.e. the fixes that closed those gaps still hold).
+# the stock DB (i.e. the fixes that closed those gaps still hold). The
+# reference campaign (seed 1, 2000 generations) must keep its coverage
+# growth and its actionable gaps per kind (TestCampaignHeadline).
 synth-smoke:
-	$(GO) test -count=1 -run 'TestPlantedGap|TestGapFixtures' -v ./internal/synth
+	$(GO) test -count=1 -run 'TestPlantedGap|TestGapFixtures|TestCampaignHeadline' -v ./internal/synth
 
-# bench-synth runs a fixed-seed coverage-guided fuzzing campaign and
-# writes BENCH_synth.json. The -min-cov-growth gate fails the build when
-# unique-coverage growth drops below 15 keys per 1k generations (the
-# seed-1 campaign measures ~42/1k; a fuzzer below the floor has lost its
-# search signal to a generator or coverage-extraction regression).
-bench-synth:
-	$(GO) run ./cmd/scarebench -synth -synth-seed 1 -synth-budget 2000 -min-cov-growth 15 -synth-out BENCH_synth.json
-
-# service-smoke drives a real scarecrowd over localhost end to end:
-# classic cache/coalescing bench, cold+warm campaign sweep over SSE, and
-# a SIGKILL + restart that must replay committed verdicts byte-identical
-# from the WAL. Artifacts: BENCH_service.json, BENCH_campaign.json.
+# service-smoke drives a real scarecrowd over localhost end to end: a
+# cached verdict replay, a catalog campaign sweep over SSE rerun entirely
+# from the cache, and a SIGKILL + restart that must replay committed
+# verdicts byte-identical from the WAL.
 service-smoke:
 	bash scripts/service-smoke.sh
 
@@ -120,20 +114,10 @@ service-smoke:
 monitor-smoke:
 	bash scripts/monitor-smoke.sh
 
-# bench-monitor runs every catalog ransomware row (stock and
-# evasive-gated) under the deterrence tier across four seeds each and
-# writes BENCH_monitor.json. The gates are the tier's headline numbers:
-# 100% detection rate and a median of at most 5 real files lost before
-# the kill.
-bench-monitor:
-	$(GO) run ./cmd/scarebench -monitor -monitor-seeds 4 -min-detection-rate 1.0 -max-median-files-lost 5 -monitor-out BENCH_monitor.json
-
 # front-smoke drives scarefront's scale-out tier end to end over
-# localhost: the front bench (fleets of 2 and 4 gated at 0.7 x
-# min(N, GOMAXPROCS) x the single-backend warm rate), routed verdicts
-# with byte-identical cached replays, and a kill -9 of one backend
-# mid-campaign that must resume from its WAL checkpoint and finish with
-# every cell reported exactly once. Artifact: BENCH_front.json.
+# localhost: routed verdicts with byte-identical cached replays, and a
+# kill -9 of one backend mid-campaign that must resume from its WAL
+# checkpoint and finish with every cell reported exactly once.
 front-smoke:
 	bash scripts/front-smoke.sh
 
@@ -144,4 +128,4 @@ hooks:
 
 # ci mirrors .github/workflows/ci.yml: the tier-1 verify plus the static
 # checks. `make ci` green locally means CI is green.
-ci: build vet lint generate-check race alloc-budgets store-race front-repeat perfbench-test cover fuzz-smoke synth-smoke bench-synth bench-monitor service-smoke front-smoke monitor-smoke
+ci: build vet lint generate-check race alloc-budgets store-race front-repeat perfbench-test cover fuzz-smoke synth-smoke service-smoke front-smoke monitor-smoke

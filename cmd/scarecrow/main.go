@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 
 	"scarecrow/internal/analysis"
@@ -69,8 +70,13 @@ func main() {
 		for _, tr := range res.Protected.Triggers {
 			hist[tr.Category]++
 		}
-		for cat, count := range hist {
-			fmt.Printf("    %-10s %d\n", cat, count)
+		cats := make([]core.Category, 0, len(hist))
+		for cat := range hist {
+			cats = append(cats, cat)
+		}
+		sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
+		for _, cat := range cats {
+			fmt.Printf("    %-10s %d\n", cat, hist[cat])
 		}
 	}
 	for _, alert := range res.Protected.Alerts {

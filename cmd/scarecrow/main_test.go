@@ -5,6 +5,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -98,5 +99,37 @@ func TestTraceIsTheReportedRun(t *testing.T) {
 	}
 	if got := trace.Summarize(events); !reflect.DeepEqual(got, res.Protected.Summary) {
 		t.Errorf("trace is not the reported protected run:\ndumped:   %+v\nreported: %+v", got, res.Protected.Summary)
+	}
+}
+
+// TestTriggerHistogramIsStable: the command's output is a pure function of
+// its flags, the per-category trigger histogram included. joe:3616a11
+// probes two trigger categories; map iteration would print them in a
+// different order from run to run, so the command runs several times
+// and every output must match the first, with the categories sorted.
+func TestTriggerHistogramIsStable(t *testing.T) {
+	run := func() string {
+		cmd := exec.Command(os.Args[0], "-sample", "joe:3616a11")
+		cmd.Env = append(os.Environ(), "SCARECROW_RUN_MAIN=1")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("scarecrow: %v\n%s", err, out)
+		}
+		return string(out)
+	}
+	first := run()
+	var cats []string
+	for _, line := range strings.Split(first, "\n") {
+		if f := strings.Fields(line); len(f) == 2 && strings.HasPrefix(line, "    ") {
+			cats = append(cats, f[0])
+		}
+	}
+	if len(cats) < 2 || !sort.StringsAreSorted(cats) {
+		t.Fatalf("trigger histogram categories %v, want at least two in sorted order:\n%s", cats, first)
+	}
+	for i := 1; i < 32; i++ {
+		if out := run(); out != first {
+			t.Fatalf("run %d printed different output:\n%s\nvs first:\n%s", i+1, out, first)
+		}
 	}
 }

@@ -107,8 +107,8 @@ func runHunt(seed int64, budget, maxDepth, workers int, profile, emitGaps string
 		}
 		fmt.Println(string(buf))
 	} else {
-		fmt.Printf("scarefuzz: %d generations (%d lab runs) in %.2fs, %d unique coverage keys, %d minimized gaps\n",
-			rep.Generations, rep.LabRuns, wall.Seconds(), rep.UniqueCoverage, len(rep.Gaps))
+		fmt.Printf("scarefuzz: %s gaps; %d generations (%d lab runs) in %.2fs, %d unique coverage keys\n",
+			rep.Headline(), rep.Generations, rep.LabRuns, wall.Seconds(), rep.UniqueCoverage)
 		for _, g := range rep.Gaps {
 			fmt.Printf("  [%s] %s\n      techniques: %v\n      %s\n", g.Kind, g.Canonical, g.Techniques, g.Advice)
 		}

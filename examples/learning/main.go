@@ -8,8 +8,8 @@ package main
 
 import (
 	"fmt"
-	"time"
 
+	"scarecrow/internal/analysis"
 	"scarecrow/internal/core"
 	"scarecrow/internal/evasion"
 	"scarecrow/internal/malgene"
@@ -54,7 +54,9 @@ func main() {
 }
 
 // runRaw executes the sample without Scarecrow; plant makes the probed key
-// genuinely present (an environment the sample evades).
+// genuinely present (an environment the sample evades). The returned
+// events are the sample's process subtree, found by following parent
+// links from the launched root.
 func runRaw(s *malware.Specimen, plant bool) []trace.Event {
 	m := winsim.NewBareMetalSandbox(1)
 	if plant {
@@ -66,26 +68,27 @@ func runRaw(s *malware.Specimen, plant bool) []trace.Event {
 	s.Register(sys)
 	m.FS.Touch(s.Image, 64<<10)
 	root := sys.Launch(s.Image, s.ID, nil)
-	sys.Run(time.Minute)
-	return m.Tracer.Filter(func(e trace.Event) bool { return e.PID >= root.PID })
+	sys.Run(analysis.ObservationWindow)
+	subtree := map[int]bool{root.PID: true}
+	for _, p := range m.Procs.All() { // creation order: parents first
+		if subtree[p.ParentPID] {
+			subtree[p.PID] = true
+		}
+	}
+	return m.Tracer.Filter(func(e trace.Event) bool { return subtree[e.PID] })
 }
 
+// protectedMutations runs the sample under Scarecrow with db on an
+// end-user machine and counts the mutations its process subtree made.
 func protectedMutations(s *malware.Specimen, db *core.DB) int {
-	m := winsim.NewEndUserMachine(5)
-	sys := winapi.NewSystem(m)
-	s.Register(sys)
-	m.FS.Touch(s.Image, 64<<10)
-	ctrl, err := core.Deploy(sys, core.NewEngine(db, core.RecommendedConfig(m.Profile)))
-	if err != nil {
-		panic(err)
+	lab := &analysis.Lab{
+		Profile: winsim.ProfileEndUser,
+		Config:  core.RecommendedConfig(string(winsim.ProfileEndUser)),
+		DB:      db,
 	}
-	root, err := ctrl.LaunchTarget(s.Image, s.ID)
-	if err != nil {
-		panic(err)
+	res := lab.RunSampleSeeded(s, 5)
+	if res.Err != nil {
+		panic(res.Err)
 	}
-	sys.Run(time.Minute)
-	sum := m.Tracer.Summarize(func(e trace.Event) bool {
-		return e.PID >= root.PID
-	})
-	return sum.Mutations()
+	return res.Protected.Summary.Mutations()
 }

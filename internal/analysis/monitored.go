@@ -95,7 +95,7 @@ func (l *Lab) RunMonitoredSeeded(s *malware.Specimen, seed int64, opts MonitorOp
 }
 
 // MonitorDoc is the JSON wire form of a monitored run — the /v1/monitor
-// final frame and the scarebench -monitor row.
+// final frame.
 type MonitorDoc struct {
 	Specimen string `json:"specimen"`
 	Family   string `json:"family"`

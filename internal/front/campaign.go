@@ -351,8 +351,8 @@ func (fc *frontCampaign) shardFinished() {
 }
 
 // HTTP surface — the same shapes the single-backend campaign API
-// serves, so clients (scarebench's follower included) cannot tell a
-// front from a backend.
+// serves, so clients (perfbench's campaign follower included) cannot
+// tell a front from a backend.
 
 func (f *Front) handleCampaignLaunch(w http.ResponseWriter, r *http.Request) {
 	var m campaign.Manifest

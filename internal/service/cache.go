@@ -8,10 +8,10 @@ import (
 
 // cacheShards is the fixed shard count of the verdict cache. Sixteen
 // shards took the single-mutex LRU — every worker completion and every
-// submission fast-path contended one lock under `scarebench -c 8` — down
-// to effectively uncontended: keys spread by FNV hash, so two concurrent
-// requests serialize only when they touch the same sixteenth of the
-// keyspace.
+// submission fast-path contended one lock under 8 concurrent clients —
+// down to effectively uncontended: keys spread by FNV hash, so two
+// concurrent requests serialize only when they touch the same sixteenth
+// of the keyspace.
 const cacheShards = 16
 
 // verdictCache is a sharded fixed-capacity LRU over canonical verdict

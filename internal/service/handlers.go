@@ -110,11 +110,11 @@ func (s *Server) submitError(w http.ResponseWriter, req SubmitRequest, err error
 
 // retryAfterSeconds is the 429 backoff for one request: the configured
 // base plus a deterministic 0–3 s jitter derived from the job key. A
-// constant Retry-After makes synchronized clients (scarebench fans out
-// identical workers) retry in lockstep and collide with the same full
-// queue again; keying the jitter off the request spreads the herd while
-// staying reproducible — the same submission always hears the same
-// backoff, so tests and traces are stable.
+// constant Retry-After makes synchronized clients (a load generator
+// fanning out identical workers) retry in lockstep and collide with the
+// same full queue again; keying the jitter off the request spreads the
+// herd while staying reproducible — the same submission always hears the
+// same backoff, so tests and traces are stable.
 func (s *Server) retryAfterSeconds(req SubmitRequest) int {
 	base := int(s.cfg.RetryAfter.Seconds() + 0.5)
 	if base < 1 {

@@ -1,7 +1,9 @@
 package synth
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 )
 
 // Fuzzer is the coverage-guided campaign loop: generate/mutate →
@@ -147,4 +149,31 @@ func (f *Fuzzer) report() Report {
 	}
 	SortReports(r.Gaps)
 	return r
+}
+
+// Headline tallies the campaign's gaps by kind, the actionable ones
+// first: "13 actionable (hook-bypass 11, missing-db-entry 2), 62
+// inverted-probe". Inverted probes stand apart because no deception can
+// close them (see GapInvertedProbe).
+func (r Report) Headline() string {
+	var actionable, inverted int
+	var kinds []string
+	// Gaps are sorted by kind, so each kind is one run.
+	for i := 0; i < len(r.Gaps); {
+		j := i
+		for j < len(r.Gaps) && r.Gaps[j].Kind == r.Gaps[i].Kind {
+			j++
+		}
+		if r.Gaps[i].Kind == GapInvertedProbe {
+			inverted += j - i
+		} else {
+			actionable += j - i
+			kinds = append(kinds, fmt.Sprintf("%s %d", r.Gaps[i].Kind, j-i))
+		}
+		i = j
+	}
+	if len(kinds) == 0 {
+		return fmt.Sprintf("0 actionable, %d %s", inverted, GapInvertedProbe)
+	}
+	return fmt.Sprintf("%d actionable (%s), %d %s", actionable, strings.Join(kinds, ", "), inverted, GapInvertedProbe)
 }

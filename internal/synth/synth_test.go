@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"scarecrow/internal/core"
@@ -127,6 +129,34 @@ func TestCoverageGrowth(t *testing.T) {
 	second := f.Run(120).UniqueCoverage
 	if second < first {
 		t.Errorf("coverage shrank with budget: %d then %d", first, second)
+	}
+}
+
+// TestCampaignHeadline gates the fuzzer's reference campaign (seed 1,
+// 2000 generations, depth 3) on the stock DB. Coverage must grow by at
+// least 15 keys per 1k generations (the campaign measures 42.5): a fuzzer
+// below that has lost its search signal to a generator or
+// coverage-extraction regression, not to a saturated catalog. The
+// actionable gaps are pinned per kind, so a change that opens or closes
+// one has to say so here; inverted probes, which no deception can close,
+// are reported but not gated.
+func TestCampaignHeadline(t *testing.T) {
+	rep := NewFuzzer(1, 3).Run(2000)
+	t.Logf("%d generations, %d unique coverage keys, gaps: %s", rep.Generations, rep.UniqueCoverage, rep.Headline())
+	if perK := float64(rep.UniqueCoverage) * 1000 / float64(rep.Generations); perK < 15 {
+		t.Errorf("coverage growth %.1f keys per 1k generations, want >= 15", perK)
+	}
+	got := map[GapKind]int{}
+	for _, g := range rep.Gaps {
+		if g.Kind != GapInvertedProbe {
+			got[g.Kind]++
+		}
+	}
+	if want := map[GapKind]int{GapHookBypass: 11, GapMissingDBEntry: 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("actionable gaps by kind = %v, want %v", got, want)
+	}
+	if h, want := rep.Headline(), "13 actionable (hook-bypass 11, missing-db-entry 2), "; !strings.HasPrefix(h, want) {
+		t.Errorf("headline %q, want it to begin %q", h, want)
 	}
 }
 

@@ -2,16 +2,11 @@
 # front-smoke: end-to-end drive of scarefront's scale-out tier over
 # localhost — two real scarecrowd backends behind one real front.
 #
-#   1. front bench      — cold+warm catalog sweeps through the front over
-#                         in-process fleets of 2 and 4 backends against a
-#                         single-backend baseline; the aggregate warm rate
-#                         must reach 0.7 x min(N, GOMAXPROCS) x baseline.
-#                         Artifact: BENCH_front.json.
-#   2. routed verdicts  — a verdict submitted through the front replays as
+#   1. routed verdicts  — a verdict submitted through the front replays as
 #                         an X-Scarecrow-Cache hit with byte-identical
 #                         bytes, and the job ID carries the owning
 #                         backend's shard prefix.
-#   3. SIGKILL recovery — launch a fanned-out campaign through the front,
+#   2. SIGKILL recovery — launch a fanned-out campaign through the front,
 #                         kill -9 one backend mid-sweep, restart it on the
 #                         same data dir, and require the campaign to
 #                         complete with zero errors, every cell reported
@@ -19,7 +14,8 @@
 #                         duplicates), and a verdict committed before the
 #                         kill replayed byte-identical from the WAL.
 #
-# Artifacts: BENCH_front.json.
+# Throughput through the front is perfbench's job (its campaign-fanout
+# workload); every check here is deterministic.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -65,10 +61,6 @@ start_backend0() {
 echo "== build"
 go build -o scarecrowd ./cmd/scarecrowd
 go build -o scarefront ./cmd/scarefront
-go build -o scarebench ./cmd/scarebench
-
-echo "== front bench: fleets of 2 and 4 vs single-backend baseline"
-./scarebench -front -min-scaling 0.7 -front-out BENCH_front.json
 
 echo "== boot: 2 backends + front (stores under $DATA)"
 start_backend0

@@ -2,23 +2,22 @@
 # service-smoke: end-to-end drive of scarecrowd's serving and durability
 # stack over localhost.
 #
-#   1. classic bench    — 200 verdicts at concurrency 8 cycling 20 keys;
-#                         fails on any error or a zero cache hit-rate.
-#   2. campaign bench   — cold+warm catalog sweep through /v1/campaign,
-#                         following the SSE streams; the warm replay must
-#                         be at least 1.5x faster than the cold pass.
-#                         (The margin is deliberately modest: the cold
-#                         path is now within a small factor of replay
-#                         speed — see perfbench's corpus-cold workload —
-#                         so a large warm/cold ratio would mean the cold
-#                         path regressed, not that the cache is healthy.)
+#   1. cached replay    — the second identical /v1/verdict must come back
+#                         as an X-Scarecrow-Cache hit with identical bytes.
+#   2. catalog re-sweep — the catalog (case studies + Joe Security
+#                         samples, seeds 1-4) runs through /v1/campaign
+#                         twice, following each SSE stream to its terminal
+#                         summary; both sweeps must finish without errors
+#                         and the rerun must be served entirely from the
+#                         cache (cache_hits == total).
 #   3. SIGKILL recovery — commit a verdict, launch a campaign, kill -9
 #                         the daemon mid-sweep, restart it on the same
 #                         data dir, and require the committed verdict to
 #                         come back byte-identical as an X-Scarecrow-Cache
 #                         hit served from the WAL alone.
 #
-# Artifacts: BENCH_service.json, BENCH_campaign.json.
+# Throughput and latency are perfbench's job (perfbench/run.sh); every
+# check here is deterministic.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -53,16 +52,65 @@ start_daemon() {
 
 echo "== build"
 go build -o scarecrowd ./cmd/scarecrowd
-go build -o scarebench ./cmd/scarebench
+go build -o scarecrow ./cmd/scarecrow
 
 echo "== boot (store $DATA/store)"
 start_daemon
 
-echo "== classic bench: cache + coalescing under load"
-./scarebench -addr "$BASE" -n 200 -c 8 -require-hits -out BENCH_service.json
+echo "== cached replay: identical request, X-Scarecrow-Cache hit, identical bytes"
+curl -fsS "$BASE/v1/verdict" -d '{"specimen":"wannacry","seed":3}' >"$DATA/r1.json"
+curl -fsS -D "$DATA/rh" "$BASE/v1/verdict" -d '{"specimen":"wannacry","seed":3}' >"$DATA/r2.json"
+if ! grep -qi 'X-Scarecrow-Cache: hit' "$DATA/rh"; then
+  echo "FAIL: identical verdict request was not a cache hit"
+  cat "$DATA/rh"
+  exit 1
+fi
+if ! cmp -s "$DATA/r1.json" "$DATA/r2.json"; then
+  echo "FAIL: cached verdict bytes differ from the first response"
+  exit 1
+fi
 
-echo "== campaign bench: cold/warm catalog sweep (warm must be >=1.5x faster)"
-./scarebench -addr "$BASE" -campaign -quota 8 -min-warm-speedup 1.5 -campaign-out BENCH_campaign.json
+# The sweep manifest: every case study and Joe Security sample the
+# command-line tool lists, at seeds 1-4.
+SPECIMENS=$({
+  ./scarecrow -list | sed -n 's/^case studies: //p' | tr -d ' ' | tr ',' '\n'
+  ./scarecrow -list | sed -n 's/^  \(joe:[0-9a-f]*\) .*/\1/p'
+} | sed 's/.*/"&"/' | paste -sd, -)
+MANIFEST="{\"specimens\":[$SPECIMENS],\"seeds\":[1,2,3,4],\"quota\":8}"
+
+# sweep launches the manifest and prints its terminal summary event.
+sweep() {
+  local cid
+  cid=$(curl -fsS "$BASE/v1/campaign" -d "$MANIFEST" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+  if [ -z "$cid" ]; then
+    echo "FAIL: campaign launch returned no id" >&2
+    return 1
+  fi
+  curl -fsSN "$BASE/v1/campaign/$cid/events" | grep '"type":"summary"' | tail -n 1
+}
+field() { # name, summary
+  echo "$2" | sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p"
+}
+
+echo "== catalog sweep, then the same manifest again: no errors, the rerun all cache hits"
+COLD=$(sweep)
+WARM=$(sweep)
+for pass in COLD WARM; do
+  SUM=${!pass}
+  TOTAL=$(field total "$SUM")
+  COMPLETED=$(field completed "$SUM")
+  ERRORS=$(field errors "$SUM")
+  HITS=$(field cache_hits "$SUM")
+  echo "   $pass: $COMPLETED/$TOTAL verdicts, $ERRORS errors, $HITS cache hits"
+  if [ -z "$TOTAL" ] || [ "$TOTAL" = "0" ] || [ "$COMPLETED" != "$TOTAL" ] || [ "$ERRORS" != "0" ]; then
+    echo "FAIL: $pass sweep summary: $SUM"
+    exit 1
+  fi
+done
+if [ "$(field cache_hits "$WARM")" != "$(field total "$WARM")" ]; then
+  echo "FAIL: the rerun of the same manifest was not served entirely from the cache: $WARM"
+  exit 1
+fi
 
 echo "== durability: commit a verdict, SIGKILL mid-campaign"
 curl -fsS "$BASE/v1/verdict" -d '{"specimen":"kasidet","seed":77}' >"$DATA/v1.json"
